@@ -99,7 +99,11 @@ class FuzzingResult:
             (subject runs under instrumentation), ``"rescore"`` (queue
             re-scoring after emits), ``"substitute"`` (deriving and
             queueing substitution candidates) and ``"checkpoint"``
-            (writing durable snapshots, when enabled).
+            (durable snapshots, when enabled: loading and restoring one
+            on resume, and writing them).  Totals are cumulative across
+            resumes, but a snapshot cannot hold the time of its own
+            write, so the write that ended each earlier run is missing
+            from a resumed campaign's totals.
         valid_signatures: stable path signature of each emitted input's
             execution, aligned with ``valid_inputs`` (persisted alongside
             the corpus; see :mod:`repro.eval.corpus_store`).
@@ -868,34 +872,40 @@ class PFuzzer:
         return fingerprint
 
     @staticmethod
-    def _encode_candidate(candidate: Candidate, mapping: Dict[int, int]) -> dict:
-        return {
-            "text": candidate.text,
-            "replacement": candidate.replacement,
-            "parents": candidate.parents,
-            "parent_branches": sorted(
-                mapping[arc] for arc in candidate.parent_branches
-            ),
-            "avg_stack": candidate.avg_stack,
-            "path_signature": candidate.path_signature,
-            "static_score": candidate.static_score,
-            "new_count": candidate.new_count,
-            "lineage": candidate.lineage,
-        }
+    def _encode_candidate(candidate: Candidate, branch_set: int) -> list:
+        """A candidate's fields in declaration order, with its parent
+        branches replaced by ``branch_set``, their index in the snapshot's
+        ``branch_sets`` table."""
+        return [
+            candidate.text,
+            candidate.replacement,
+            candidate.parents,
+            branch_set,
+            candidate.avg_stack,
+            candidate.path_signature,
+            candidate.static_score,
+            candidate.new_count,
+            candidate.lineage,
+        ]
 
     @staticmethod
-    def _decode_candidate(record: dict, unpacker) -> Candidate:
-        return Candidate(
-            text=record["text"],
-            replacement=record["replacement"],
-            parents=record["parents"],
-            parent_branches=unpacker.ids(record["parent_branches"]),
-            avg_stack=record["avg_stack"],
-            path_signature=record["path_signature"],
-            static_score=record["static_score"],
-            new_count=record["new_count"],
-            lineage=record.get("lineage", 0),
-        )
+    def _decode_candidate(record, unpacker, branch_sets: list) -> Candidate:
+        if isinstance(record, dict):
+            # Format-1 snapshots: a keyed record per entry, each with its
+            # own copy of the parent branches.
+            return Candidate(
+                text=record["text"],
+                replacement=record["replacement"],
+                parents=record["parents"],
+                parent_branches=unpacker.ids(record["parent_branches"]),
+                avg_stack=record["avg_stack"],
+                path_signature=record["path_signature"],
+                static_score=record["static_score"],
+                new_count=record["new_count"],
+                lineage=record.get("lineage", 0),
+            )
+        text, replacement, parents, branch_set, *rest = record
+        return Candidate(text, replacement, parents, branch_sets[branch_set], *rest)
 
     def snapshot(self) -> dict:
         """Serialise the complete campaign state as a JSON-safe payload.
@@ -904,15 +914,28 @@ class PFuzzer:
         their stable tuple form (interned ids are process-local); the queue
         is captured verbatim — stored priorities, FIFO order and score
         caches included — so a restored campaign pops candidates in exactly
-        the order the original would have.
+        the order the original would have.  Siblings share one parent-branch
+        array (see :meth:`_add_candidates`), so each distinct set is stored
+        once in ``branch_sets`` and entries refer to it by index.
         """
         from repro.eval.checkpoint import pack_arc_ids
 
         table = arc_table_for(self.subject)
         entries, counter = self._queue.dump_entries()
-        id_sets = [self._valid_branches, self._hybrid_branches]
-        id_sets.extend(candidate.parent_branches for _, _, candidate in entries)
-        arcs, mapping = pack_arc_ids(id_sets, table)
+        set_index: Dict[bytes, int] = {}
+        branch_arrays = []
+        records = []
+        for priority, order, candidate in entries:
+            branches = candidate.parent_branches
+            index = set_index.setdefault(branches.tobytes(), len(branch_arrays))
+            if index == len(branch_arrays):
+                branch_arrays.append(branches)
+            records.append(
+                [priority, order, self._encode_candidate(candidate, index)]
+            )
+        arcs, mapping = pack_arc_ids(
+            [self._valid_branches, self._hybrid_branches, *branch_arrays], table
+        )
         rng_version, rng_internal, rng_gauss = self._rng.getstate()
         elapsed = (
             time.monotonic() - self._run_started
@@ -940,10 +963,11 @@ class PFuzzer:
             ),
             "queue": {
                 "counter": counter,
-                "entries": [
-                    [priority, order, self._encode_candidate(candidate, mapping)]
-                    for priority, order, candidate in entries
+                "branch_sets": [
+                    sorted(mapping[arc] for arc in branches)
+                    for branches in branch_arrays
                 ],
+                "entries": records,
             },
             "rng": [rng_version, list(rng_internal), rng_gauss],
             "wall_time": self._wall_consumed + elapsed,
@@ -1043,9 +1067,19 @@ class PFuzzer:
         result.valid_lineage = list(payload.get("valid_lineage", []))
         self._lineage = LineageLog.from_payload(payload.get("lineage"))
         queue = payload["queue"]
+        # One shared array per stored set, as the original siblings shared
+        # one; format-1 snapshots have no table (their entries are dicts).
+        branch_sets = [
+            normalize_branches(unpacker.ids(local))
+            for local in queue.get("branch_sets", ())
+        ]
         self._queue.restore_entries(
             [
-                (priority, order, self._decode_candidate(record, unpacker))
+                (
+                    priority,
+                    order,
+                    self._decode_candidate(record, unpacker, branch_sets),
+                )
                 for priority, order, record in queue["entries"]
             ],
             queue["counter"],
@@ -1096,16 +1130,21 @@ class PFuzzer:
         self._write_checkpoint()
 
     def _resume_from_checkpoint(self) -> None:
-        """Load the newest valid snapshot, if any (``config.resume``)."""
+        """Load the newest valid snapshot, if any (``config.resume``).
+
+        Load plus restore is charged to the ``"checkpoint"`` phase; the
+        timer stops after :meth:`restore` has replaced the totals, so the
+        resume adds to the campaign's restored total.
+        """
         from repro.eval.checkpoint import load_latest
 
+        started = self._timer.start()
         loaded = load_latest(self.config.checkpoint_dir)
-        if loaded is None:
-            return
-        _, payload = loaded
-        self.restore(payload)
-        self._result.resumes += 1
-        if self._trace_on:
+        if loaded is not None:
+            self.restore(loaded[1])
+            self._result.resumes += 1
+        self._timer.stop("checkpoint", started)
+        if loaded is not None and self._trace_on:
             self._trace.emit(
                 "resumed",
                 executions=self._result.executions,
@@ -1267,7 +1306,6 @@ class PFuzzer:
             self._maybe_hybrid()
             self._maybe_sync()
             self._maybe_cull()
-            self._maybe_checkpoint()
             if not self._budget_left():
                 # Don't pop (or draw restart characters) for an iteration
                 # that cannot run: the queue depth and RNG position must
@@ -1287,6 +1325,10 @@ class PFuzzer:
                         "preempted", executions=self._result.executions
                     )
                 break
+            # Below both exits: a run that stops here writes its end-of-run
+            # snapshot of this state instead, so each run (each service
+            # slice) ends with exactly one write.
+            self._maybe_checkpoint()
             current = self._next_candidate()
         # Hybrid generation phases fold vBr into _hybrid_branches before
         # each reset; the reported set is the union, so total decoded
@@ -1301,7 +1343,6 @@ class PFuzzer:
         # frontier is identical with culling on or off, which keeps
         # ``result_fingerprint`` cull-invariant.
         self._result.queue_depth = self._queue.live_depth(self._seen)
-        self._result.phase_times = dict(self._timer.totals)
         self._result.lineage = self._lineage
         if self._syncer is not None:
             # Push-only flush so the group sees this run's final inputs;
@@ -1312,6 +1353,7 @@ class PFuzzer:
             self._sync_point(pull=False)
         if self.config.checkpoint_dir is not None:
             self._write_checkpoint()
+        self._result.phase_times = dict(self._timer.totals)
         if self._trace_on:
             self._trace.emit(
                 "campaign_end",

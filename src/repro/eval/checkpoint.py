@@ -1,20 +1,27 @@
 """Durable campaign snapshots: versioned, atomic, checksummed.
 
-A checkpoint is one JSON file holding a complete :class:`~repro.core.fuzzer.
+A checkpoint is one file holding a complete :class:`~repro.core.fuzzer.
 PFuzzer` state — candidate queue with its cached scores and heap order,
 ``vBr``, the valid corpus, RNG position and budget consumed — wrapped in an
-envelope that makes interrupted writes detectable:
+envelope that makes interrupted writes detectable.  Format 2 is two lines:
+a JSON header ``{"checksum", "generation", "magic", "version"}``, then the
+canonical payload JSON (sorted keys, no spaces, ASCII).  The payload is
+serialised once per write and parsed once per read.
 
-* **atomic writes** — the payload is written to a temporary file in the
+* **atomic writes** — the file is written to a temporary file in the
   same directory, fsynced, and ``os.replace``d into place, so a crash mid-
   write can never leave a half-written file under the final name;
-* **checksums** — the envelope stores a blake2b digest of the canonical
-  payload JSON; a truncated or bit-flipped file fails verification and is
+* **checksums** — the header stores a blake2b digest of the stored
+  payload line, verified over those bytes *before* they are parsed; a
+  truncated, bit-flipped or extended file fails verification and is
   skipped rather than restored;
 * **generations** — every write gets the next generation number and the
   previous ``keep`` generations are retained, so even a corrupted latest
   file (e.g. a torn write on a non-atomic filesystem) falls back to the
   previous good snapshot instead of losing the campaign.
+
+Format-1 files — the whole envelope as one JSON document, its checksum
+over a re-serialised payload — are still read.
 
 Branch arcs are process-local interned ids (:mod:`repro.runtime.arcs`), so
 snapshots never store raw ids: every referenced arc is decoded through the
@@ -41,8 +48,12 @@ PathLike = Union[str, Path]
 #: File-format magic; rejects files that are not checkpoints at all.
 MAGIC = "repro-checkpoint"
 
-#: Bumped on any payload field rename/retyping; additions keep the version.
-FORMAT_VERSION = 1
+#: Bumped on any envelope or payload field rename/retyping; additions keep
+#: the version.
+FORMAT_VERSION = 2
+
+#: The single-document layout written before format 2; still read.
+_FORMAT_1 = 1
 
 #: Default number of snapshot generations retained on disk.
 DEFAULT_KEEP = 2
@@ -141,8 +152,15 @@ def _canonical_payload(payload: dict) -> str:
     )
 
 
-def _payload_checksum(canonical: str) -> str:
-    return blake2b(canonical.encode("ascii"), digest_size=16).hexdigest()
+def _payload_checksum(stored: bytes) -> str:
+    return blake2b(stored, digest_size=16).hexdigest()
+
+
+def _parse(path: Path, data: bytes, what: str):
+    try:
+        return json.loads(data.decode("ascii"))
+    except (ValueError, RecursionError) as exc:  # bad ASCII or bad JSON
+        raise CheckpointError(f"{path}: malformed {what} ({exc})") from None
 
 
 def _generation_path(directory: Path, generation: int) -> Path:
@@ -186,16 +204,16 @@ def save_snapshot(
     if generation is None:
         generation = (existing[-1] + 1) if existing else 1
     canonical = _canonical_payload(payload)
-    envelope = {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "generation": generation,
-        "checksum": _payload_checksum(canonical),
-        "payload": payload,
-    }
+    header = _canonical_payload(
+        {
+            "checksum": _payload_checksum(canonical.encode("ascii")),
+            "generation": generation,
+            "magic": MAGIC,
+            "version": FORMAT_VERSION,
+        }
+    )
     target = atomic_write_text(
-        _generation_path(directory, generation),
-        json.dumps(envelope, ensure_ascii=True),
+        _generation_path(directory, generation), f"{header}\n{canonical}\n"
     )
     for old in existing:
         if old <= generation - keep:
@@ -214,35 +232,44 @@ def load_snapshot(path: PathLike) -> Tuple[int, dict]:
 
     Raises:
         CheckpointError: the file is unreadable, not a checkpoint, from an
-            unsupported format version, or fails its checksum (truncated or
-            corrupted write).
+            unsupported format version, or fails its checksum (truncated,
+            corrupted or extended write).
     """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        raw = path.read_bytes()
+    except OSError as exc:
         raise CheckpointError(f"{path}: unreadable ({exc})") from None
-    try:
-        envelope = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(envelope, dict) or envelope.get("magic") != MAGIC:
+    first, _, rest = raw.partition(b"\n")
+    header = _parse(path, first, "header")
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file")
-    version = envelope.get("version")
-    if version != FORMAT_VERSION:
+    version = header.get("version")
+    payload = None
+    if version == FORMAT_VERSION:
+        stored, _, tail = rest.partition(b"\n")
+    elif version == _FORMAT_1:
+        # The first line is the whole envelope, payload included.
+        payload, tail = header.get("payload"), rest
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"{path}: missing payload")
+        stored = _canonical_payload(payload).encode("ascii")
+    else:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: missing payload")
-    checksum = _payload_checksum(_canonical_payload(payload))
-    if checksum != envelope.get("checksum"):
+    if tail:
+        raise CheckpointError(f"{path}: trailing data after the payload")
+    if _payload_checksum(stored) != header.get("checksum"):
         raise CheckpointError(f"{path}: checksum mismatch (truncated write?)")
-    generation = envelope.get("generation")
+    generation = header.get("generation")
     if not isinstance(generation, int):
         raise CheckpointError(f"{path}: missing generation number")
+    if payload is None:
+        payload = _parse(path, stored, "payload")
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"{path}: missing payload")
     return generation, payload
 
 

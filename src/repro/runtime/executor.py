@@ -20,7 +20,7 @@ Wire format: interned arc ids are process-local, so results cross the
 pipe *decoded* — ``(status, error, [(arc_tuple, clock), ...],
 comparisons, eof_events, crash_signature)`` — and
 :func:`rehydrate_run_result` re-interns them through the parent's arc
-table (tolerating the historical 5-tuple without the crash field).
+table.
 Comparison/EOF events are plain NamedTuples of primitives and pickle
 as-is.  Two :class:`RunResult` fields do not cross the pipe: ``value``
 (the subject's parse result — unused by the fuzzing loop) and
@@ -126,9 +126,7 @@ def rehydrate_run_result(subject, text: str, payload: tuple) -> RunResult:
     ``average_stack_size``, ``comparisons_touching``) reads only the
     recorded events, which crossed the pipe verbatim.
     """
-    status_name, error, arcs, comparisons, eof_events = payload[:5]
-    # Tolerant tail: payloads predating the CRASH status are 5-tuples.
-    crash_signature = payload[5] if len(payload) > 5 else None
+    status_name, error, arcs, comparisons, eof_events, crash_signature = payload
     table = arc_table_for(subject)
     intern = table.intern
     recorder = Recorder()

@@ -23,7 +23,6 @@ comparable and equivalence is asserted in the test suite.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
@@ -35,12 +34,6 @@ from repro.taint.recorder import Recorder, recording
 
 #: Supported values for ``coverage_backend``.
 COVERAGE_BACKENDS = ("settrace", "ast")
-
-#: Reserved backend names that are registered but not implemented yet.
-#: ``"monitoring"`` is the planned PEP 669 ``sys.monitoring`` backend —
-#: out of scope while CI runs Python 3.11; :func:`run_subject` raises a
-#: version-gated :class:`NotImplementedError` naming the follow-up.
-EXPERIMENTAL_BACKENDS = ("monitoring",)
 
 
 class ExitStatus(enum.Enum):
@@ -218,22 +211,6 @@ def run_subject(
             depth_provider=tracer.current_depth,
             clock_provider=tracer.current_clock,
             stack_provider=tracer.current_stack,
-        )
-    elif coverage_backend == "monitoring":
-        # Version-gated stub for the PEP 669 backend (ROADMAP item 2's
-        # remainder): the name is reserved so the 3.12 follow-up slots in
-        # without a config migration, but no implementation ships while
-        # CI pins 3.11.
-        if sys.version_info < (3, 12):
-            raise NotImplementedError(
-                "the 'monitoring' coverage backend requires Python 3.12+ "
-                "(PEP 669 sys.monitoring); this interpreter is "
-                f"{sys.version_info.major}.{sys.version_info.minor} — "
-                "use 'ast' (fastest) or 'settrace' (reference)"
-            )
-        raise NotImplementedError(
-            "the 'monitoring' coverage backend is registered but not "
-            "implemented yet; use 'ast' (fastest) or 'settrace' (reference)"
         )
     else:
         raise ValueError(

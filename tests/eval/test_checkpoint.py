@@ -29,6 +29,18 @@ def _generation_path(directory, generation):
     return directory / f"ckpt-{generation:08d}.json"
 
 
+def _read_lines(path):
+    """A format-2 file's header and payload, each parsed."""
+    header, payload = path.read_text().splitlines()
+    return json.loads(header), json.loads(payload)
+
+
+def _write_lines(path, header, payload):
+    """Write a header and a payload back in the format-2 layout."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path.write_text(f"{json.dumps(header)}\n{canonical}\n")
+
+
 # --------------------------------------------------------------------- #
 # Envelope round-trip
 # --------------------------------------------------------------------- #
@@ -97,23 +109,31 @@ def test_truncated_snapshot_is_rejected(tmp_path):
 
 def test_tampered_payload_fails_checksum(tmp_path):
     path = save_snapshot(tmp_path, {"executions": 42})
-    record = json.loads(path.read_text())
-    record["payload"]["executions"] = 43
-    path.write_text(json.dumps(record))
+    record, payload = _read_lines(path)
+    payload["executions"] = 43
+    _write_lines(path, record, payload)
     with pytest.raises(CheckpointError, match="checksum"):
         load_snapshot(path)
 
 
 def test_wrong_magic_and_version_rejected(tmp_path):
     path = save_snapshot(tmp_path, PAYLOAD)
-    record = json.loads(path.read_text())
+    record, payload = _read_lines(path)
     for key, value in (("magic", "other-tool"), ("version", FORMAT_VERSION + 1)):
         broken = dict(record)
         broken[key] = value
-        path.write_text(json.dumps(broken))
+        _write_lines(path, broken, payload)
         with pytest.raises(CheckpointError):
             load_snapshot(path)
     assert MAGIC == "repro-checkpoint"
+
+
+def test_rewritten_layout_loads_when_untampered(tmp_path):
+    """The helpers above write a valid file, so the two tests above fail
+    for the change they make, not for the rewrite."""
+    path = save_snapshot(tmp_path, PAYLOAD)
+    _write_lines(path, *_read_lines(path))
+    assert load_snapshot(path) == (1, PAYLOAD)
 
 
 def test_load_latest_falls_back_to_previous_valid_generation(tmp_path):

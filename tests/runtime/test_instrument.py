@@ -76,8 +76,9 @@ def test_backend_names_exported():
 
 
 def test_unknown_backend_rejected(expr_subject):
-    with pytest.raises(ValueError, match="backend"):
-        run_subject(expr_subject, "1", coverage_backend="gcov")
+    for backend in ("gcov", "monitoring"):
+        with pytest.raises(ValueError, match="backend"):
+            run_subject(expr_subject, "1", coverage_backend=backend)
 
 
 def test_instrumented_clone_is_cached(expr_subject):
