@@ -8,15 +8,31 @@ Budgets are the DESIGN.md §2 substitution for the paper's 48 CPU-hours:
 execution counts sized for minutes of laptop time.  pFuzzer runs best-of-N
 seeds, mirroring the paper's "all tests were run three times; we report the
 best run".
+
+The mechanism benches track their numbers in committed ``BENCH_*.json``
+trajectories at the repository root; :func:`load_trajectory` and
+:func:`append_trajectory_entry` are the one reader and writer of that
+format (``{"schema": 1, "trajectory": [entry, ...]}``, each entry
+carrying the git rev, a UTC timestamp, the CPU count, the Python version
+and the bench's ``rates``).
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.eval.campaign import run_campaign
 from repro.eval.token_cov import token_coverage
+
+#: Where the committed ``BENCH_*.json`` trajectories live.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Paper subjects in Table 1 order.
 SUBJECTS: Tuple[str, ...] = ("ini", "csv", "json", "tinyc", "mjs")
@@ -65,3 +81,52 @@ def all_campaigns() -> Dict[Tuple[str, str], List[str]]:
         for subject in SUBJECTS
         for tool in TOOLS
     }
+
+
+def git_rev() -> str:
+    """Short hash of the checked-out commit, or ``"unknown"``."""
+    try:
+        return (
+            subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=REPO_ROOT,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.strip()
+            or "unknown"
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def load_trajectory(path: Path) -> List[dict]:
+    """The committed entries of the trajectory at ``path``, oldest first."""
+    if not path.exists():
+        return []
+    return json.loads(path.read_text())["trajectory"]
+
+
+def append_trajectory_entry(path: Path, rates: dict, **extra) -> dict:
+    """Append one entry for the current checkout to ``path``; return it.
+
+    ``extra`` adds bench-specific top-level fields after ``rates`` (the
+    throughput bench's ``ratios``).
+    """
+    entry = {
+        "git_rev": git_rev(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "cpus": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "rates": rates,
+        **extra,
+    }
+    document = (
+        json.loads(path.read_text())
+        if path.exists()
+        else {"schema": 1, "trajectory": []}
+    )
+    document["trajectory"].append(entry)
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"  appended trajectory entry {entry['git_rev']} to {path}")
+    return entry

@@ -24,17 +24,14 @@ keeps the measurement but skips the acceptance assertion.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List
 
 import pytest
 
+from bench_common import REPO_ROOT, append_trajectory_entry, load_trajectory
 from repro.eval.campaign import ToolOutput
 from repro.service.gain import GainConfig
 from repro.service.jobs import JobSpec, JobState, JobStore
@@ -45,7 +42,7 @@ from repro.service.scheduler import (
 )
 
 #: Tracked trajectory (committed; see module docstring).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
+BENCH_PATH = REPO_ROOT / "BENCH_adaptive.json"
 
 SLICE = 100
 BUDGET = 30 * SLICE  # per job
@@ -164,22 +161,6 @@ def _executions_to_target(root: Path, adaptive: bool) -> int:
     return spent_at_target["target"]
 
 
-def _git_rev() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=BENCH_PATH.parent,
-                check=True,
-                capture_output=True,
-                text=True,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def test_bench_adaptive_reaches_target_in_60_percent(benchmark, tmp_path):
     """The adaptive-scheduling acceptance number, exactly reproducible."""
     blind, adaptive = benchmark.pedantic(
@@ -198,27 +179,18 @@ def test_bench_adaptive_reaches_target_in_60_percent(benchmark, tmp_path):
     benchmark.extra_info["blind_executions"] = blind
     benchmark.extra_info["adaptive_executions"] = adaptive
     benchmark.extra_info["ratio"] = ratio
+    trajectory = load_trajectory(BENCH_PATH)
     if os.environ.get("REPRO_BENCH_WRITE"):
-        entry = {
-            "git_rev": _git_rev(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "python": sys.version.split()[0],
-            "rates": {
+        append_trajectory_entry(
+            BENCH_PATH,
+            {
                 "blind_executions": blind,
                 "adaptive_executions": adaptive,
                 "ratio": ratio,
             },
-        }
-        document = (
-            json.loads(BENCH_PATH.read_text())
-            if BENCH_PATH.exists()
-            else {"schema": 1, "trajectory": []}
         )
-        document["trajectory"].append(entry)
-        BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"  appended trajectory entry {entry['git_rev']} to {BENCH_PATH}")
-    elif BENCH_PATH.exists():
-        committed = json.loads(BENCH_PATH.read_text())["trajectory"][-1]
+    elif trajectory:
+        committed = trajectory[-1]
         print(
             f"  committed entry {committed['git_rev']}: "
             f"ratio {committed['rates']['ratio']:.3f}"

@@ -27,16 +27,13 @@ assertions.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
 
+from bench_common import REPO_ROOT, append_trajectory_entry, load_trajectory
 from repro.baselines.afl import AFLConfig, AFLFuzzer
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import PFuzzer
@@ -47,7 +44,7 @@ from repro.miner.mine import mine_grammar
 from repro.subjects.registry import load_subject
 
 #: Tracked trajectory (committed; see module docstring).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hybrid.json"
+BENCH_PATH = REPO_ROOT / "BENCH_hybrid.json"
 
 #: Per-subject operating points: (budget, seed, mine_after, gen_batch,
 #: gen_depth).  Budgets are sized so the pure campaign has plateaued
@@ -169,22 +166,6 @@ def _throughput() -> Dict[str, float]:
     }
 
 
-def _git_rev() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=BENCH_PATH.parent,
-                check=True,
-                capture_output=True,
-                text=True,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _record(rates: dict, key: str) -> dict:
     """Append (WRITE mode) or load the committed entry carrying ``key``.
 
@@ -192,25 +173,10 @@ def _record(rates: dict, key: str) -> dict:
     backwards for the newest entry of the right kind.
     """
     if os.environ.get("REPRO_BENCH_WRITE"):
-        entry = {
-            "git_rev": _git_rev(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "python": sys.version.split()[0],
-            "rates": rates,
-        }
-        document = (
-            json.loads(BENCH_PATH.read_text())
-            if BENCH_PATH.exists()
-            else {"schema": 1, "trajectory": []}
-        )
-        document["trajectory"].append(entry)
-        BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"  appended trajectory entry {entry['git_rev']} to {BENCH_PATH}")
-        return entry
-    if BENCH_PATH.exists():
-        for entry in reversed(json.loads(BENCH_PATH.read_text())["trajectory"]):
-            if key in entry["rates"]:
-                return entry
+        return append_trajectory_entry(BENCH_PATH, rates)
+    for entry in reversed(load_trajectory(BENCH_PATH)):
+        if key in entry["rates"]:
+            return entry
     return {}
 
 

@@ -23,20 +23,17 @@ CI runners are advisory — this benchmark is non-blocking there).
 
 from __future__ import annotations
 
-import json
 import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from bench_common import REPO_ROOT, append_trajectory_entry, load_trajectory
 from repro.core.candidate import Candidate
 from repro.core.queue import CandidateQueue
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_queue_cull.json"
+BENCH_PATH = REPO_ROOT / "BENCH_queue_cull.json"
 
 ENTRIES = 12_000
 ARC_SPACE = 2_000  # distinct interned arc ids
@@ -125,22 +122,6 @@ def _measure() -> dict:
     }
 
 
-def _git_rev() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=BENCH_PATH.parent,
-                check=True,
-                capture_output=True,
-                text=True,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def test_bench_queue_cull_speeds_up_rescore(benchmark):
     measured = benchmark.pedantic(_measure, rounds=1, iterations=1)
     print("\n\n=== queue hygiene: rescore cost, dirty vs culled ===")
@@ -157,24 +138,11 @@ def test_bench_queue_cull_speeds_up_rescore(benchmark):
         f"rescore speedup {measured['rescore_speedup']:.2f}x"
     )
     benchmark.extra_info.update(measured)
+    trajectory = load_trajectory(BENCH_PATH)
     if os.environ.get("REPRO_BENCH_WRITE"):
-        entry = {
-            "git_rev": _git_rev(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "cpus": os.cpu_count(),
-            "python": sys.version.split()[0],
-            "rates": measured,
-        }
-        document = (
-            json.loads(BENCH_PATH.read_text())
-            if BENCH_PATH.exists()
-            else {"schema": 1, "trajectory": []}
-        )
-        document["trajectory"].append(entry)
-        BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"  appended trajectory entry {entry['git_rev']} to {BENCH_PATH}")
-    elif BENCH_PATH.exists():
-        committed = json.loads(BENCH_PATH.read_text())["trajectory"][-1]
+        append_trajectory_entry(BENCH_PATH, measured)
+    elif trajectory:
+        committed = trajectory[-1]
         print(
             f"  committed entry {committed['git_rev']}: "
             f"speedup {committed['rates']['rescore_speedup']:.2f}x"

@@ -34,22 +34,21 @@ ratio assertions, which need an unloaded machine.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import repro
+from bench_common import REPO_ROOT, append_trajectory_entry, load_trajectory
 from repro.runtime.executor import PooledExecutor
 from repro.runtime.harness import COVERAGE_BACKENDS, run_subject
 from repro.subjects.registry import load_subject
 
 #: Tracked throughput trajectory (committed; see module docstring).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
+BENCH_PATH = REPO_ROOT / "BENCH_throughput.json"
 
 #: Subject x backend cells the executor matrix measures.
 MATRIX_SUBJECTS = ("json", "ini")
@@ -196,22 +195,6 @@ def _measure_matrix(seconds: float, spawns: int) -> dict:
     return rates
 
 
-def _git_rev() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=BENCH_PATH.parent,
-                check=True,
-                capture_output=True,
-                text=True,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _print_matrix(rates: dict) -> None:
     print("\n\n=== executor throughput (executions/s) ===")
     header = "  {:<6} {:<9}".format("subj", "backend") + "".join(
@@ -228,11 +211,9 @@ def _print_matrix(rates: dict) -> None:
 
 def _print_delta_vs_committed(rates: dict) -> None:
     """Non-blocking comparison against the committed trajectory."""
-    if not BENCH_PATH.exists():
-        print("  (no committed BENCH_throughput.json to compare against)")
-        return
-    trajectory = json.loads(BENCH_PATH.read_text())["trajectory"]
+    trajectory = load_trajectory(BENCH_PATH)
     if not trajectory:
+        print("  (no committed BENCH_throughput.json to compare against)")
         return
     committed = trajectory[-1]
     print(
@@ -274,27 +255,16 @@ def test_bench_executor_matrix(benchmark):
     benchmark.extra_info["rates"] = rates
     benchmark.extra_info["batched_over_coldstart_json_ast"] = ratio
     if os.environ.get("REPRO_BENCH_WRITE"):
-        entry = {
-            "git_rev": _git_rev(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "cpus": os.cpu_count(),
-            "python": sys.version.split()[0],
-            "rates": rates,
-            "ratios": {
+        append_trajectory_entry(
+            BENCH_PATH,
+            rates,
+            ratios={
                 "json_ast_batched_over_coldstart": ratio,
                 "json_ast_batched_over_inline": (
                     headline["batched"] / headline["inline"]
                 ),
             },
-        }
-        document = (
-            json.loads(BENCH_PATH.read_text())
-            if BENCH_PATH.exists()
-            else {"schema": 1, "trajectory": []}
         )
-        document["trajectory"].append(entry)
-        BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"  appended trajectory entry {entry['git_rev']} to {BENCH_PATH}")
     else:
         _print_delta_vs_committed(rates)
     if smoke:

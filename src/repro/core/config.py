@@ -122,11 +122,13 @@ class FuzzerConfig:
             Both engines produce byte-identical campaigns; like
             ``trace_path``, the choice is environmental and excluded from
             the snapshot fingerprint, so a resumed campaign may switch.
-        batch_size: with ``executor="pooled"``, how many candidates the
-            fuzzer submits per speculative round-trip (the current pop
-            plus the queue's likely next pops).  1 disables speculation;
-            results are cached by input text, so batching never changes
-            the campaign result.
+        batch_size: with ``executor="pooled"``, how many texts the
+            fuzzer submits per speculative round-trip: the current pop
+            and the queue's likely next pops, each followed by its
+            predicted append run (predicted on a copy of the campaign
+            RNG), all counting toward the batch.  1 disables
+            speculation; results are cached by input text, so batching
+            never changes the campaign result.
         executor_workers: persistent worker processes for the pooled
             engine.
         executor_isolation: ``"auto"`` (fork per candidate where

@@ -25,10 +25,11 @@ Execution is pluggable (``config.executor``): the default ``"inline"``
 engine calls :func:`~repro.runtime.harness.run_subject` in-process; the
 ``"pooled"`` engine routes candidates through a persistent forked-worker
 executor (:mod:`repro.runtime.executor`) and — with ``config.batch_size``
-> 1 — speculatively submits the queue's likely next pops in the same
-round-trip.  Executions are a pure function of the input text, and all
-campaign bookkeeping (counters, path counts, lineage, RNG) happens here at
-consume time, so every engine produces byte-identical campaign results.
+> 1 — speculatively submits the queue's likely next pops and each one's
+predicted append run in the same round-trip.  Executions are a pure
+function of the input text, and all campaign bookkeeping (counters, path
+counts, lineage, RNG) happens here at consume time, so every engine
+produces byte-identical campaign results.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ class PFuzzer:
         self._trace_on = self._trace.enabled
         self._lineage = LineageLog()
         self._rng = random.Random(self.config.seed)
+        #: Scratch copy of ``_rng`` that :meth:`_prefetch` draws ahead on
+        #: to predict append runs; never feeds the campaign itself.
+        self._predictor = random.Random()
         self._valid_branches: Set[int] = set()
         #: Cached ``frozenset(vBr)``, grown *incrementally* (unioned with
         #: each emit's added arcs) — never rebuilt from scratch.
@@ -1163,31 +1167,52 @@ class PFuzzer:
             return False
         return True
 
-    def _prefetch(self, head: Optional[str] = None) -> None:
+    def _prefetch(self, head: str) -> None:
         """Speculatively submit the next likely executions to the engine.
 
-        ``head`` is the text about to execute; with ``batch_size`` > 1 the
-        queue's approximate next pops ride in the same round-trip.  Pure
-        overlap: results are cached by text and consumed (with all
-        bookkeeping) in :meth:`_execute`, so speculation — right or wrong
-        — never changes the campaign.  No-op on the inline engine.
+        ``head`` is the text about to execute.  With ``batch_size`` > 1 the
+        same round-trip carries the head's append run and the queue's
+        approximate next pops, each followed by its own append run, up to
+        ``batch_size`` texts.  An append run is predicted on a copy of the
+        campaign RNG: nothing draws from ``self._rng`` between a
+        candidate's execution and its append draw, so the copy's k-th
+        ``choice`` is the character the k-th upcoming append will draw,
+        unless an emit skips an append, the queue restarts, or a shard's
+        pool rotates first.  Pure overlap: results are cached by text and
+        consumed (with all bookkeeping) in :meth:`_execute`, and the
+        campaign RNG only advances at the real draw, so speculation —
+        right or wrong — never changes the campaign.  No-op on the inline
+        engine.
         """
         executor = self._executor
         if executor is None:
             return
+        batch_size = self.config.batch_size
+        if batch_size == 1:
+            executor.prefetch([head])
+            return
+        seen = self._seen
+        upcoming = [head] + [
+            text
+            for text in self._queue.peek_texts(batch_size // 2 + 4)
+            if text not in seen and text != head
+        ]
+        max_length = self.config.max_input_length
+        pool = self._append_pool()
+        predictor = self._predictor
+        predictor.setstate(self._rng.getstate())
         texts: List[str] = []
-        if head is not None:
-            texts.append(head)
-        want = self.config.batch_size - len(texts)
-        if want > 0:
-            seen = self._seen
-            for text in self._queue.peek_texts(want + 4):
-                if text not in seen and text != head:
-                    texts.append(text)
-                    if len(texts) >= self.config.batch_size:
+        for text in upcoming:
+            texts.append(text)
+            if len(texts) >= batch_size:
+                break
+            if len(text) < max_length:
+                extended = text + predictor.choice(pool)
+                if extended not in seen:
+                    texts.append(extended)
+                    if len(texts) >= batch_size:
                         break
-        if texts:
-            executor.prefetch(texts)
+        executor.prefetch(texts)
 
     def run(self) -> FuzzingResult:
         """Run the campaign until the execution budget is exhausted.
@@ -1219,6 +1244,12 @@ class PFuzzer:
                 trace_coverage=self.config.trace_coverage,
                 workers=self.config.executor_workers,
                 isolation=self.config.executor_isolation,
+                # Wrong guesses are never consumed: keep only a few
+                # speculation windows of them, and never fewer than one
+                # ``_drain`` can deliver (one result per worker).
+                max_ready=max(
+                    4 * self.config.batch_size, self.config.executor_workers
+                ),
             )
         try:
             return self._run()

@@ -236,38 +236,6 @@ def _worker_main(
 # --------------------------------------------------------------------- #
 
 
-class InlineExecutor:
-    """The no-op engine: execute in-process, exactly ``run_subject``.
-
-    Exists so callers can treat executor modes uniformly; ``PFuzzer``
-    special-cases inline to skip even this indirection on its hot path.
-    """
-
-    def __init__(
-        self, subject, *, coverage_backend: str = "settrace", trace_coverage: bool = True
-    ) -> None:
-        self.subject = subject
-        self.coverage_backend = coverage_backend
-        self.trace_coverage = trace_coverage
-
-    def prefetch(self, texts: Iterable[str]) -> None:  # noqa: ARG002
-        """Inline execution has nothing to overlap; a no-op."""
-
-    def execute(self, text: str) -> RunResult:
-        return run_subject(
-            self.subject,
-            text,
-            trace_coverage=self.trace_coverage,
-            coverage_backend=self.coverage_backend,
-        )
-
-    def run_batch(self, texts: Sequence[str]) -> List[RunResult]:
-        return [self.execute(text) for text in texts]
-
-    def close(self) -> None:
-        """Nothing to shut down."""
-
-
 class _WorkerHandle:
     """One persistent worker: process, pipes, and outstanding batches."""
 
@@ -304,6 +272,8 @@ class PooledExecutor:
             speculative result is evicted first (a later ``execute`` of
             an evicted text simply re-runs it — results are a pure
             function of the text, so eviction never affects outcomes).
+            Keep it at least ``workers``: one drain stores a result per
+            worker, and the one being waited for must survive it.
     """
 
     def __init__(
@@ -564,31 +534,3 @@ class PooledExecutor:
         self.prefetch(texts)
         return [self.execute(text) for text in texts]
 
-
-def create_executor(
-    mode: str,
-    subject,
-    *,
-    coverage_backend: str = "settrace",
-    trace_coverage: bool = True,
-    workers: int = 1,
-    isolation: str = "auto",
-):
-    """Build the executor for ``mode`` (one of :data:`EXECUTOR_MODES`)."""
-    if mode == "inline":
-        return InlineExecutor(
-            subject,
-            coverage_backend=coverage_backend,
-            trace_coverage=trace_coverage,
-        )
-    if mode == "pooled":
-        return PooledExecutor(
-            subject,
-            coverage_backend=coverage_backend,
-            trace_coverage=trace_coverage,
-            workers=workers,
-            isolation=isolation,
-        )
-    raise ValueError(
-        f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}"
-    )

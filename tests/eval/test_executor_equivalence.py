@@ -12,6 +12,9 @@ Layers of evidence:
 
 * quick split: inline vs pooled vs batched on two subjects x both
   coverage backends (the full six-subject matrix runs under ``slow``);
+* mispredictions: batched campaigns whose predicted append runs can be
+  wrong — a shard whose append pool rotates, and hybrid floods — still
+  match inline;
 * fault injection: a worker SIGKILLed mid-campaign is respawned and the
   campaign still matches the uninterrupted fingerprint;
 * engine-switching resume: a checkpoint written by an inline campaign is
@@ -112,6 +115,44 @@ def test_engines_agree_full_matrix(subject_name, backend):
         batch_size=8,
         executor_workers=2,
         executor_isolation="none",
+    )
+    _assert_equivalent(subject_name, inline, batched)
+
+
+# --------------------------------------------------------------------- #
+# Where a predicted append run can be wrong
+# --------------------------------------------------------------------- #
+
+#: Subjects of the two cases below; 1500 executions cross 30 shard-pool
+#: rotations and at least one hybrid flood on each.
+PREDICTION_SUBJECTS = ("json", "ini")
+BATCHED = dict(executor="pooled", batch_size=8, executor_isolation="none")
+
+
+@pytest.mark.parametrize("subject_name", PREDICTION_SUBJECTS)
+def test_batched_agrees_when_shard_pool_rotates(subject_name):
+    """A shard's append pool rotates every 50 executions, so some append
+    characters are predicted from the pool of an epoch that has ended
+    by the time the real draw happens."""
+    shard = dict(shard_id=1, shard_count=2, shard_rotate_every=50)
+    inline = _campaign(subject_name, "settrace", budget=1_500, **shard)
+    batched = _campaign(
+        subject_name, "settrace", budget=1_500, **shard, **BATCHED
+    )
+    _assert_equivalent(subject_name, inline, batched)
+
+
+@pytest.mark.parametrize("subject_name", PREDICTION_SUBJECTS)
+def test_batched_agrees_across_hybrid_floods(subject_name):
+    """A flood injects generated candidates and resets ``vBr`` between
+    a prefetch and the pops it predicted."""
+    hybrid = dict(hybrid=True, mine_after=200)
+    inline = _campaign(subject_name, "settrace", budget=1_500, **hybrid)
+    assert any(
+        node.op == "gen" for node in inline.lineage.nodes.values()
+    ), "no flood fired; the budget is too small for this case"
+    batched = _campaign(
+        subject_name, "settrace", budget=1_500, **hybrid, **BATCHED
     )
     _assert_equivalent(subject_name, inline, batched)
 

@@ -3,8 +3,10 @@
 Covers the executor layer in isolation (campaign-level fingerprint
 equivalence lives in ``tests/eval/test_executor_equivalence.py``):
 wire-format round-trips, single-run field equivalence against the inline
-path, batch ordering, worker-death respawn, isolation modes, lifecycle,
-and the ``__slots__`` audit of the hot-loop dataclasses.
+path, batch ordering, worker-death respawn, isolation modes, campaign
+speculation (predicted append runs, ``batch_size=1``, the ready-cache
+bound), lifecycle, and the ``__slots__`` audit of the hot-loop
+dataclasses.
 """
 
 import pytest
@@ -17,10 +19,8 @@ from repro.core.substitute import Substitution
 from repro.runtime.executor import (
     EXECUTOR_MODES,
     ExecutorError,
-    InlineExecutor,
     PooledExecutor,
     _resolve_isolation,
-    create_executor,
     rehydrate_run_result,
     serialize_run_result,
 )
@@ -179,7 +179,94 @@ def test_kill_hook_is_consumed_by_spawn():
 
 
 # --------------------------------------------------------------------- #
-# Lifecycle and factories
+# Campaign speculation
+# --------------------------------------------------------------------- #
+
+
+def _batched_json(batch_size, budget=1_000):
+    config = FuzzerConfig(
+        seed=3,
+        max_executions=budget,
+        executor="pooled",
+        batch_size=batch_size,
+        executor_isolation="none",
+    )
+    return PFuzzer(load_subject("json"), config)
+
+
+def test_batched_campaign_speculates_append_runs(monkeypatch):
+    """Append runs are predicted, so executions rarely wait on a fresh
+    submission; prediction never touches the campaign RNG; and
+    ``batch_size=1`` still submits one text at a time.
+
+    Algorithm 1 runs each candidate and then the candidate plus one
+    random character.  ``_prefetch`` predicts that character on a copy of
+    the campaign RNG, so the append run is already ready or pending when
+    the loop asks for it; speculating only the queue's pops left about
+    half of all executions to a synchronous round trip each.
+    """
+    cold = []
+    execute = PooledExecutor.execute
+
+    def counting_execute(pool, text):
+        if text not in pool._ready and text not in pool._pending:
+            cold.append(text)
+        return execute(pool, text)
+
+    rng_moved = []
+    prefetch = PFuzzer._prefetch
+
+    def checked_prefetch(fuzzer, head):
+        before = fuzzer._rng.getstate()
+        prefetch(fuzzer, head)
+        rng_moved.append(fuzzer._rng.getstate() != before)
+
+    sizes = []
+    submit = PooledExecutor._submit
+
+    def recording_submit(pool, worker_index, texts):
+        sizes.append(len(texts))
+        return submit(pool, worker_index, texts)
+
+    monkeypatch.setattr(PooledExecutor, "execute", counting_execute)
+    monkeypatch.setattr(PFuzzer, "_prefetch", checked_prefetch)
+    result = _batched_json(batch_size=8).run()
+    assert result.executions == 1_000
+    assert rng_moved and not any(rng_moved)
+    assert len(cold) <= 0.02 * result.executions, (
+        f"{len(cold)} of {result.executions} executions were submitted "
+        "only when the loop needed them"
+    )
+
+    monkeypatch.setattr(PooledExecutor, "_submit", recording_submit)
+    result = _batched_json(batch_size=1, budget=300).run()
+    assert result.executions == 300
+    assert sizes and set(sizes) == {1}
+
+
+def test_ready_cache_is_bounded_by_the_speculation_window(monkeypatch):
+    bounds = []
+    init = PooledExecutor.__init__
+
+    def recording_init(pool, *args, **kwargs):
+        init(pool, *args, **kwargs)
+        bounds.append(pool.max_ready)
+
+    monkeypatch.setattr(PooledExecutor, "__init__", recording_init)
+    _batched_json(batch_size=8, budget=20).run()
+    config = FuzzerConfig(
+        max_executions=20,
+        executor="pooled",
+        executor_workers=6,
+        executor_isolation="none",
+    )
+    PFuzzer(load_subject("expr"), config).run()
+    # 4 windows of batch 8; with batch 1, never below one result per worker.
+    assert bounds == [32, 6]
+
+
+# --------------------------------------------------------------------- #
+# Lifecycle
 # --------------------------------------------------------------------- #
 
 
@@ -188,27 +275,6 @@ def test_close_is_idempotent_and_execute_after_close_raises(pooled_expr):
     pooled_expr.close()
     with pytest.raises(ExecutorError):
         pooled_expr.execute("1")
-
-
-def test_create_executor_modes():
-    subject = load_subject("expr")
-    assert isinstance(create_executor("inline", subject), InlineExecutor)
-    pooled = create_executor("pooled", subject, isolation="none")
-    try:
-        assert isinstance(pooled, PooledExecutor)
-    finally:
-        pooled.close()
-    with pytest.raises(ValueError, match="unknown executor mode"):
-        create_executor("warp", subject)
-
-
-def test_inline_executor_matches_run_subject():
-    subject = load_subject("expr")
-    executor = InlineExecutor(subject)
-    executor.prefetch(EXPR_TEXTS)  # no-op
-    for text in EXPR_TEXTS:
-        _assert_results_match(run_subject(subject, text), executor.execute(text))
-    executor.close()
 
 
 def test_resolve_isolation():
