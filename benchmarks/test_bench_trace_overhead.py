@@ -68,7 +68,8 @@ def test_bench_disabled_tracing_under_budget(benchmark):
 
     With tracing off, one campaign iteration adds at most a handful of
     ``recorder.enabled`` guard checks and (per scheduled candidate) one
-    :class:`LineageNode` allocation over the pre-observability code.
+    lineage row (:meth:`LineageLog.new_node`) over the pre-observability
+    code.
     Measure that work directly and compare it to the campaign's real
     per-execution cost.
     """

@@ -303,19 +303,7 @@ class PFuzzer:
         weights = self.config.weights
         new_count = candidate.new_count
         if new_count is None:
-            branches = candidate.parent_branches
-            if branches:
-                vbr_map = self._vbr_map
-                if branches[-1] >= len(vbr_map):
-                    # The sorted array's last entry is its max arc id;
-                    # grow the bitmap once instead of bounds-checking
-                    # every lookup.
-                    vbr_map.extend(bytes(branches[-1] + 1 - len(vbr_map)))
-                new_count = len(branches) - sum(
-                    map(vbr_map.__getitem__, branches)
-                )
-            else:
-                new_count = 0
+            new_count = self._new_count(candidate.parent_branches)
             candidate.new_count = new_count
         cached_static = candidate.static_score
         if cached_static is None:
@@ -326,6 +314,18 @@ class PFuzzer:
             candidate.path_signature, 0
         )
         return score
+
+    def _new_count(self, branches) -> int:
+        """``len(branches - vBr)`` for a sorted arc array, as one bitmap
+        count."""
+        if not branches:
+            return 0
+        vbr_map = self._vbr_map
+        if branches[-1] >= len(vbr_map):
+            # The sorted array's last entry is its max arc id; grow the
+            # bitmap once instead of bounds-checking every lookup.
+            vbr_map.extend(bytes(branches[-1] + 1 - len(vbr_map)))
+        return len(branches) - sum(map(vbr_map.__getitem__, branches))
 
     # ------------------------------------------------------------------ #
     # Shard partition (DESIGN.md §8)
@@ -513,6 +513,15 @@ class PFuzzer:
         parent_branches = normalize_branches(result.branches_for_heuristic())
         avg_stack = result.average_stack_size()
         signature = result.path_signature()
+        # The siblings also share the vBr-dependent terms of their score,
+        # and neither vBr nor the path counts change while they are
+        # queued, so those terms are computed once here.  The per-sibling
+        # sum below performs _score's operations in _score's order, so
+        # every stored priority is the one _score would have stored.
+        weights = self.config.weights
+        new_count = self._new_count(parent_branches)
+        new_term = weights.new_branches * new_count
+        penalty = weights.path_repetition * self._path_counts.get(signature, 0)
         trace_on = self._trace_on
         for substitution in substitutions_for(result):
             if substitution.text in self._seen:
@@ -568,17 +577,21 @@ class PFuzzer:
                     cmp_kind=substitution.kind,
                     cmp_expected=substitution.expected,
                 )
-            self._queue.push(
-                Candidate(
-                    text=substitution.text,
-                    replacement=substitution.replacement,
-                    parents=parents + 1,
-                    parent_branches=parent_branches,
-                    avg_stack=avg_stack,
-                    path_signature=signature,
-                    lineage=node,
-                )
+            candidate = Candidate(
+                text=substitution.text,
+                replacement=substitution.replacement,
+                parents=parents + 1,
+                parent_branches=parent_branches,
+                avg_stack=avg_stack,
+                path_signature=signature,
+                new_count=new_count,
+                lineage=node,
             )
+            cached_static = static_score(candidate, weights)
+            candidate.static_score = cached_static
+            score = new_term + cached_static
+            score -= penalty
+            self._queue.push(candidate, score)
         self._timer.stop("substitute", started)
 
     def _random_char(self) -> str:

@@ -8,9 +8,10 @@ that stored metadata.
 
 Implementation: a binary heap (scores negated for max-priority).  Pushes
 and pops are O(log n); a re-score (which only happens when a new valid
-input is emitted) recomputes every priority and re-heapifies in O(n).  When
-the queue exceeds its capacity it is compacted to the best ``limit``
-candidates.
+input is emitted) recomputes every priority and re-heapifies in O(n).
+Capacity is enforced lazily: a push that takes the queue past
+``2 * limit`` entries, or a re-score that leaves it above ``limit``,
+compacts it to the best ``limit`` candidates with one sort.
 
 Re-scoring is vectorised over the interned arc ids: candidates store
 their parent branches as sorted ``array('I')`` buffers
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import (
     AbstractSet,
     Callable,
@@ -43,6 +45,9 @@ ScoreFn = Callable[[Candidate], float]
 
 #: Heap entries: (negated score, FIFO counter, candidate).
 _Entry = Tuple[float, int, Candidate]
+
+_candidate_of = itemgetter(2)
+_text_of = attrgetter("text")
 
 
 @dataclass(frozen=True)
@@ -116,13 +121,18 @@ class CandidateQueue:
         if branches and branches[-1] > self._max_arc:
             self._max_arc = branches[-1]
 
-    def push(self, candidate: Candidate) -> None:
-        """Insert a candidate, scoring it with the current score function."""
+    def push(self, candidate: Candidate, score: Optional[float] = None) -> None:
+        """Insert a candidate.
+
+        ``score`` is the candidate's current score when the caller has
+        already computed it (the fuzzer scores a parent's siblings
+        together); None scores it with the current score function.
+        """
         self._counter += 1
         self._note_arcs(candidate)
-        heapq.heappush(
-            self._heap, (-self._score_fn(candidate), self._counter, candidate)
-        )
+        if score is None:
+            score = self._score_fn(candidate)
+        heapq.heappush(self._heap, (-score, self._counter, candidate))
         if len(self._heap) > 2 * self._limit:
             self._compact(bound=2 * self._limit)
 
@@ -232,12 +242,17 @@ class CandidateQueue:
             winners, dead, dominated = self._live_entries(self.seen)
             if dead or dominated:
                 heap = winners
-            if len(heap) > bound:
-                heap = heapq.nsmallest(self._limit, heap)
-        elif len(heap) > self._limit:
-            heap = heapq.nsmallest(self._limit, heap)
-        self._heap = heap
-        heapq.heapify(self._heap)
+            truncate = len(heap) > bound
+        else:
+            truncate = len(heap) > self._limit
+        if truncate:
+            # Entries never tie (FIFO counters are unique), so this is
+            # ``heapq.nsmallest(limit, heap)`` without its Python-level
+            # loop; a sorted list is already a heap.
+            self._heap = sorted(heap)[: self._limit]
+        elif heap is not self._heap:
+            heapq.heapify(heap)
+            self._heap = heap
 
     # ------------------------------------------------------------------ #
     # Queue hygiene (DESIGN.md §10)
@@ -255,9 +270,19 @@ class CandidateQueue:
         equal after every rescore and monotonically staler in between, so
         the earliest FIFO counter wins every time.
         """
+        heap = self._heap
+        # Every dominance key starts with the text, so when no queued
+        # text has executed and none is queued twice nothing can be
+        # dropped.  Both checks run in C; the dead one stops at the first
+        # dead text, so a heap that needs the full scan below barely
+        # pays for them.
+        if seen.isdisjoint(map(_text_of, map(_candidate_of, heap))) and len(
+            set(map(_text_of, map(_candidate_of, heap)))
+        ) == len(heap):
+            return list(heap), 0, 0
         dead = 0
         winners: Dict[tuple, _Entry] = {}
-        for entry in self._heap:
+        for entry in heap:
             candidate = entry[2]
             if candidate.text in seen:
                 dead += 1
@@ -266,7 +291,7 @@ class CandidateQueue:
             kept = winners.get(key)
             if kept is None or entry[1] < kept[1]:
                 winners[key] = entry
-        dominated = len(self._heap) - dead - len(winners)
+        dominated = len(heap) - dead - len(winners)
         return list(winners.values()), dead, dominated
 
     def live_depth(self, seen: AbstractSet[str]) -> int:

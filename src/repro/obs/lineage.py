@@ -41,7 +41,8 @@ with or without tracing enabled.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from collections.abc import MutableMapping
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 
 class LineageError(Exception):
@@ -51,9 +52,9 @@ class LineageError(Exception):
 class LineageNode(NamedTuple):
     """One input's provenance: parent plus the operation that made it.
 
-    A ``NamedTuple``: nodes are created for every queued candidate and
-    every executed input, so construction cost matters even with tracing
-    disabled.
+    :class:`LineageLog` stores each node's fields as a plain tuple, one
+    for every queued candidate and every executed input, and builds the
+    ``NamedTuple`` when a node is read.
     """
 
     node_id: int
@@ -75,15 +76,50 @@ class LineageNode(NamedTuple):
         raise LineageError(f"unknown lineage op {self.op!r}")
 
 
+class _NodeTable(MutableMapping):
+    """Node id -> :class:`LineageNode`, stored as plain tuples.
+
+    CPython's collector untracks a plain tuple of atomic values at its
+    first collection but never a tuple subclass, so ``LineageNode`` rows
+    would stay tracked and every full collection would walk all of them;
+    a campaign records one per queued candidate.  Reads build the
+    ``LineageNode`` on the way out.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Dict[int, tuple]) -> None:
+        self.rows = rows
+
+    def __getitem__(self, node_id: int) -> LineageNode:
+        return LineageNode._make(self.rows[node_id])
+
+    def __setitem__(self, node_id: int, node: LineageNode) -> None:
+        self.rows[node_id] = tuple(node)
+
+    def __delitem__(self, node_id: int) -> None:
+        del self.rows[node_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class LineageLog:
     """Append-only table of lineage nodes with chain queries."""
 
     def __init__(self) -> None:
-        self.nodes: Dict[int, LineageNode] = {}
+        #: Node id -> the node's fields as a plain tuple (see
+        #: :class:`_NodeTable`); ``nodes`` is the same table as
+        #: :class:`LineageNode` values.
+        self._rows: Dict[int, tuple] = {}
+        self.nodes: MutableMapping[int, LineageNode] = _NodeTable(self._rows)
         self.next_id = 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._rows)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -101,7 +137,7 @@ class LineageLog:
         """Allocate the next node id and record the node; returns the id."""
         node_id = self.next_id
         self.next_id = node_id + 1
-        self.nodes[node_id] = LineageNode(
+        self._rows[node_id] = (
             node_id, parent_id, op, text, replacement, at_index, cmp_kind
         )
         return node_id
@@ -111,10 +147,10 @@ class LineageLog:
     # ------------------------------------------------------------------ #
 
     def get(self, node_id: int) -> LineageNode:
-        node = self.nodes.get(node_id)
-        if node is None:
+        row = self._rows.get(node_id)
+        if row is None:
             raise LineageError(f"unknown lineage node {node_id}")
-        return node
+        return LineageNode._make(row)
 
     def chain(self, node_id: int) -> List[LineageNode]:
         """The derivation chain root-first, ending at ``node_id``.
@@ -157,7 +193,7 @@ class LineageLog:
         """JSON-safe form for campaign snapshots (nodes in id order)."""
         return {
             "next_id": self.next_id,
-            "nodes": [list(self.nodes[key]) for key in sorted(self.nodes)],
+            "nodes": [list(self._rows[key]) for key in sorted(self._rows)],
         }
 
     @classmethod

@@ -1,11 +1,15 @@
 """Priority queue: ordering, re-scoring, capping."""
 
+import heapq
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidate import Candidate
 from repro.core.config import HeuristicWeights
 from repro.core.heuristic import heuristic_score
-from repro.core.queue import CandidateQueue
+from repro.core.queue import CandidateQueue, _dominance_key
 
 
 def test_pop_highest_score():
@@ -247,3 +251,96 @@ def test_cull_preserves_returned_pop_sequence():
         return pops
 
     assert executed_pops(culled) == executed_pops(plain)
+
+
+# --------------------------------------------------------------------- #
+# Compaction against the full-scan reference
+# --------------------------------------------------------------------- #
+
+
+class _FullScanQueue(CandidateQueue):
+    """Compaction as the full hygiene scan plus ``heapq.nsmallest``: the
+    reference the precheck and single-sort truncation must reproduce."""
+
+    def _compact(self, bound=None):
+        bound = self._limit if bound is None else bound
+        heap = self._heap
+        if self.seen is not None:
+            winners, dead, dominated = self._live_entries(self.seen)
+            if dead or dominated:
+                heap = winners
+            if len(heap) > bound:
+                heap = heapq.nsmallest(self._limit, heap)
+        elif len(heap) > self._limit:
+            heap = heapq.nsmallest(self._limit, heap)
+        self._heap = heap
+        heapq.heapify(self._heap)
+
+    def _live_entries(self, seen):
+        dead = 0
+        winners = {}
+        for entry in self._heap:
+            candidate = entry[2]
+            if candidate.text in seen:
+                dead += 1
+                continue
+            key = _dominance_key(candidate)
+            kept = winners.get(key)
+            if kept is None or entry[1] < kept[1]:
+                winners[key] = entry
+        dominated = len(self._heap) - dead - len(winners)
+        return list(winners.values()), dead, dominated
+
+
+#: Few texts and little metadata, so heaps hold dead texts, same-text
+#: entries with different metadata, and identical-metadata duplicates.
+_pushes = st.lists(
+    st.tuples(
+        st.sampled_from("abcdef"),
+        st.sampled_from(["", "x"]),
+        st.integers(0, 2),
+        st.sampled_from([(), (1,), (1, 2)]),
+        st.integers(-3, 3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pushes=_pushes,
+    executed=st.sets(st.sampled_from("abcdef")),
+    limit=st.integers(1, 8),
+    hygienic=st.booleans(),
+)
+def test_compaction_matches_full_scan_reference(pushes, executed, limit, hygienic):
+    """Push-triggered (``bound=2 * limit``) and rescore-triggered
+    (``bound=limit``) compactions leave the same heap, in the same order,
+    as the full scan with ``heapq.nsmallest``; so do ``cull`` and
+    ``live_depth``."""
+    candidates = [
+        Candidate(text, replacement=replacement, parents=parents, parent_branches=arcs)
+        for text, replacement, parents, arcs, _ in pushes
+    ]
+
+    def score(candidate):
+        return float(candidate.parents - len(candidate.replacement))
+
+    queues = [
+        queue_class(score, limit=limit, seen=set(executed) if hygienic else None)
+        for queue_class in (CandidateQueue, _FullScanQueue)
+    ]
+    for queue in queues:
+        for candidate, (*_, given_score) in zip(candidates, pushes):
+            # Both push paths: the caller's score (nonzero draws), and the
+            # score function (zero).
+            queue.push(candidate, float(given_score) if given_score else None)
+    fast, reference = queues
+    assert fast._heap == reference._heap
+    seen = set(executed)
+    assert fast.live_depth(seen) == reference.live_depth(seen)
+    for queue in queues:
+        queue.rescore()
+    assert fast._heap == reference._heap
+    assert fast.cull(seen) == reference.cull(seen)
+    assert fast._heap == reference._heap

@@ -10,7 +10,12 @@ Two latent defects in the restart / rescore interaction, pinned here:
   ``len(parent_branches - vBr)`` across emits, restarts and compactions,
   or cached scores silently diverge from
   :func:`repro.core.heuristic.heuristic_score`.
+
+Pop order depends on the exact stored floats, so the priority each push
+stores is pinned bit for bit against the reference as well.
 """
+
+import pytest
 
 from repro.core.candidate import Candidate
 from repro.core.config import FuzzerConfig, HeuristicWeights
@@ -161,3 +166,75 @@ def test_unscored_candidates_score_fresh_against_current_vbr():
     vbr.update({5})
     queue.rescore(frozenset({5}))
     assert candidate.new_count == 1  # scored fresh against vBr={5}
+
+
+def _stored_priority(queue, order):
+    """Stored priority of the just-pushed entry with FIFO counter ``order``.
+
+    ``heappush`` appends and sifts up, so the entry sits on the path from
+    the last slot to the root, unless the push compacted the queue.  None
+    when that compaction dropped it.
+    """
+    heap = queue._heap
+    index = len(heap) - 1
+    while index >= 0:
+        if heap[index][1] == order:
+            return heap[index][0]
+        index = (index - 1) // 2 if index else -1
+    for priority, counter, _ in heap:
+        if counter == order:
+            return priority
+    return None
+
+
+#: Weights whose terms round when summed, so a change in the order of the
+#: score's float operations changes stored priorities (the default
+#: weights are small integers, whose sums are exact).
+_ROUNDING_WEIGHTS = HeuristicWeights(
+    new_branches=0.7,
+    input_length=0.3,
+    replacement_length=1.1,
+    stack_size=0.9,
+    parents=-0.35,
+    path_repetition=0.2,
+)
+
+
+@pytest.mark.parametrize(
+    "subject, weights",
+    [
+        ("json", HeuristicWeights()),
+        ("url", HeuristicWeights()),
+        ("url", _ROUNDING_WEIGHTS),
+    ],
+)
+def test_stored_priorities_equal_reference_score_bit_for_bit(
+    subject, weights, monkeypatch
+):
+    """Every stored priority is exactly ``-heuristic_score`` of the pushed
+    candidate against vBr and the path counts at push time, whichever
+    push path computed it (siblings scored together, or the queue's score
+    function)."""
+    config = FuzzerConfig(
+        seed=5, max_executions=1000, coverage_backend="ast", weights=weights
+    )
+    fuzzer = PFuzzer(load_subject(subject), config)
+    push = CandidateQueue.push
+    checked = []
+
+    def pinned(queue, candidate, score=None):
+        expected = -heuristic_score(
+            candidate,
+            frozenset(fuzzer._valid_branches),
+            fuzzer._path_counts,
+            config.weights,
+        )
+        push(queue, candidate, score)
+        stored = _stored_priority(queue, queue._counter)
+        if stored is not None:
+            assert stored == expected, candidate
+            checked.append(stored)
+
+    monkeypatch.setattr(CandidateQueue, "push", pinned)
+    fuzzer.run()
+    assert len(checked) > 1000

@@ -1,5 +1,7 @@
 """Lineage log: derivation chains, replay, snapshots, trace rebuild."""
 
+import gc
+
 import pytest
 
 from repro.obs.lineage import LineageError, LineageLog, LineageNode
@@ -80,6 +82,29 @@ def test_payload_round_trip():
     # old snapshots without lineage restore as an empty log
     assert len(LineageLog.from_payload(None)) == 0
     assert LineageLog.from_payload(None).next_id == 0
+
+
+def test_campaign_lineage_rows_are_untracked_and_nodes_behave_as_before():
+    """A campaign's lineage rows leave the collector's lists at their first
+    collection, while ``nodes`` still reads and writes ``LineageNode``s."""
+    from repro.core.config import FuzzerConfig
+    from repro.core.fuzzer import PFuzzer
+    from repro.subjects.registry import load_subject
+
+    result = PFuzzer(
+        load_subject("json"), FuzzerConfig(seed=2, max_executions=400)
+    ).run()
+    gc.collect()
+    assert not any(type(obj) is LineageNode for obj in gc.get_objects())
+    nodes = result.lineage.nodes
+    assert len(nodes) == len(result.lineage) > 400
+    assert all(type(node) is LineageNode for node in nodes.values())
+    rebuilt = LineageLog.from_payload(result.lineage.to_payload())
+    assert rebuilt.nodes == nodes
+    last = rebuilt.next_id
+    rebuilt.nodes[last] = LineageNode(last, 0, "append", "xy", replacement="y")
+    assert rebuilt.get(last) == rebuilt.nodes[last]
+    assert rebuilt.nodes != nodes
 
 
 def test_from_trace_events():
