@@ -70,12 +70,17 @@ class ArcTable:
         """Stable signature of a branch path (a set of interned arcs).
 
         Hashes the sorted per-arc digests, so the result is identical across
-        interpreter runs, hash seeds, backends and intern orders.
+        interpreter runs, hash seeds, backends and intern orders.  The
+        digests are joined and hashed in one call, which gives the same
+        bits as feeding them to the hash one at a time.
         """
-        hasher = blake2b(digest_size=8)
-        for digest in sorted(self.digest(arc_id) for arc_id in arc_ids):
-            hasher.update(digest)
-        return int.from_bytes(hasher.digest(), "big")
+        digests = self._digests
+        digest = self.digest
+        parts = [digests[arc_id] or digest(arc_id) for arc_id in arc_ids]
+        parts.sort()
+        return int.from_bytes(
+            blake2b(b"".join(parts), digest_size=8).digest(), "big"
+        )
 
 
 #: One table per subject identity; both backends intern through the same

@@ -30,7 +30,7 @@ from repro.runtime.arcs import ArcTable, arc_table_for
 from repro.runtime.errors import HangError, ParseError, SubjectError
 from repro.runtime.stream import InputStream
 from repro.runtime.tracer import CoverageTracer
-from repro.taint.recorder import Recorder, recording
+from repro.taint.recorder import CURRENT_RECORDER, Recorder
 
 #: Supported values for ``coverage_backend``.
 COVERAGE_BACKENDS = ("settrace", "ast")
@@ -106,6 +106,12 @@ class RunResult:
     _branches: Optional[FrozenSet[int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Lazily computed ``path_signature()``: the fuzzer reads it when it
+    #: counts the path, when it queues substitutions and twice when it
+    #: emits a valid input.
+    _signature: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def valid(self) -> bool:
@@ -164,10 +170,16 @@ class RunResult:
 
         Built from per-arc blake2 digests, so it is identical across
         interpreter runs (``PYTHONHASHSEED``), backends and intern orders.
+        Computed once per result, like :attr:`branches`.
         """
-        if self.arc_table is None or not self.arcs:
-            return 0
-        return self.arc_table.signature(self.arcs)
+        cached = self._signature
+        if cached is None:
+            if self.arc_table is None or not self.arcs:
+                cached = 0
+            else:
+                cached = self.arc_table.signature(self.arcs)
+            self._signature = cached
+        return cached
 
 
 def run_subject(
@@ -222,30 +234,35 @@ def run_subject(
     value: object = None
     error: Optional[str] = None
     crash_signature: Optional[tuple] = None
-    with recording(recorder):
-        try:
-            if tracer is not None:
-                with tracer:
-                    value = run_target.parse(stream)
-            else:
+    # The recorder's token is set and reset here directly, not through the
+    # generator-based ``recording()`` context manager: one run per
+    # candidate makes its enter/exit overhead a per-execution cost.
+    token = CURRENT_RECORDER.set(recorder)
+    try:
+        if tracer is not None:
+            with tracer:
                 value = run_target.parse(stream)
-        except HangError as exc:
-            status = ExitStatus.HANG
-            error = str(exc)
-        except ParseError as exc:
-            status = ExitStatus.REJECTED
-            error = exc.message
-        except SubjectError as exc:
-            status = ExitStatus.REJECTED
-            error = str(exc)
-        except Exception as exc:  # noqa: BLE001 - crashes are results here
-            # Anything else out of the subject is the Python analogue of a
-            # segfault.  Propagating it would kill the campaign (and, under
-            # the pooled engine, look like a worker death and trigger a
-            # respawn loop), so classify it as a CRASH result instead.
-            status = ExitStatus.CRASH
-            crash_signature = failure_site(exc, subject.files)
-            error = f"{crash_signature[0]}: {exc}"
+        else:
+            value = run_target.parse(stream)
+    except HangError as exc:
+        status = ExitStatus.HANG
+        error = str(exc)
+    except ParseError as exc:
+        status = ExitStatus.REJECTED
+        error = exc.message
+    except SubjectError as exc:
+        status = ExitStatus.REJECTED
+        error = str(exc)
+    except Exception as exc:  # noqa: BLE001 - crashes are results here
+        # Anything else out of the subject is the Python analogue of a
+        # segfault.  Propagating it would kill the campaign (and, under
+        # the pooled engine, look like a worker death and trigger a
+        # respawn loop), so classify it as a CRASH result instead.
+        status = ExitStatus.CRASH
+        crash_signature = failure_site(exc, subject.files)
+        error = f"{crash_signature[0]}: {exc}"
+    finally:
+        CURRENT_RECORDER.reset(token)
 
     if tracer is not None:
         intern = table.intern

@@ -15,9 +15,21 @@ settrace backend after statement-owner normalisation (see
 
 * plain statements get a preceding ``__cov_line__(head)``;
 * ``if``/``while`` tests become ``(__cov_line__(head) or test)`` so the
-  header fires once per check, including the final failing one — except
-  constant-test loops (``while True:``), whose header CPython only executes
-  once at loop entry;
+  header fires once per check, including the final failing one (CPython
+  attributes even a ``while True:`` back-jump to the header line);
+* where the previous line of the frame is known at rewrite time, the event
+  is a *static arc* ``__cov_arc__(slot, head)`` instead: a function's or
+  comprehension's first event (predecessor ``ENTRY``), the first statement
+  of an ``if``/``else``/``while``/``for``/``try``/handler body (predecessor:
+  the header), a statement or ``if``/``elif`` test that follows a simple
+  statement (predecessor: that statement), and a ``for``/``try`` head that
+  follows one.  The slot names the ``(predecessor, head)`` pair, so the
+  call skips the same-line check and the key hashing of ``__cov_line__``;
+  its arc is interned on first traversal, exactly when ``__cov_line__``
+  would have interned it.  A site whose predecessor is its own line emits
+  nothing (``__cov_line__`` would have returned early).  Joins (the
+  statement after a compound statement, a ``finally`` body), loop
+  re-checks and exception dispatch keep ``__cov_line__``;
 * ``for`` loops are desugared into ``while True`` + explicit ``next()``
   with a header line event before every fetch and at exhaustion, and
   nothing when the loop ``break``s;
@@ -36,9 +48,9 @@ filename, and executed into fresh module objects — so the real modules stay
 untouched.  Imports *between* cloned modules are rewritten to a
 ``__cov_import__`` helper so a clone calls into sibling clones, while
 imports of shared infrastructure (errors, stream, taint) are left alone and
-keep pointing at the real modules.  Arcs are interned eagerly through the
-subject's :class:`~repro.runtime.arcs.ArcTable`, the same table the
-settrace backend interns through.
+keep pointing at the real modules.  Arcs are interned on first traversal
+through the subject's :class:`~repro.runtime.arcs.ArcTable`, the same
+table the settrace backend interns through.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ import ast
 import inspect
 import sys
 import types
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runtime.arcs import ArcTable, arc_table_for
 from repro.runtime.owners import statement_head
@@ -56,6 +68,7 @@ from repro.runtime.owners import statement_head
 ENTRY = 0
 
 _COV_LINE = "__cov_line__"
+_COV_ARC = "__cov_arc__"
 _COV_CALL = "__cov_call__"
 _COV_RET = "__cov_ret__"
 _COV_IMPORT = "__cov_import__"
@@ -79,10 +92,11 @@ class Collector:
     call depth and the named call stack — but is driven by compiled-in
     ``__cov_*`` calls instead of trace events.  ``_prev`` is a stack of
     per-logical-frame previous lines: ``__cov_call__`` pushes ``ENTRY``,
-    ``__cov_ret__`` pops.
+    ``__cov_ret__`` pops.  ``sites`` maps each cloned file to the static
+    predecessor line of every ``__cov_arc__`` slot in it.
     """
 
-    __slots__ = ("table", "arcs", "call_stack", "_state", "_prev")
+    __slots__ = ("table", "arcs", "call_stack", "sites", "_state", "_prev")
 
     #: Indices into the ``_state`` list (one shared mutable cell block so
     #: the injected closures avoid attribute lookups on the hot path).
@@ -92,6 +106,7 @@ class Collector:
         self.table = table
         self.arcs: Dict[int, int] = {}
         self.call_stack: List[Tuple[str, int]] = []
+        self.sites: Dict[str, Tuple[int, ...]] = {}
         self._state: List[int] = [0, 0, 0]  # clock, depth, serial
         self._prev: List[int] = [ENTRY]
 
@@ -165,6 +180,41 @@ class Collector:
 
         return __cov_line__
 
+    def arc_function(
+        self, filename: str, sites: Sequence[int]
+    ) -> Callable[[int, int], None]:
+        """The ``__cov_arc__`` injected into a module from ``filename``.
+
+        ``sites[slot]`` is the line the rewriter proved precedes slot
+        ``slot``'s line in its frame, so the arc needs neither the
+        same-line check nor a key lookup; its id is interned on the
+        slot's first traversal, when ``__cov_line__`` would have
+        interned it.
+        """
+        sites = self.sites[filename] = tuple(sites)
+
+        def __cov_arc__(
+            slot: int,
+            lineno: int,
+            _prev: list = self._prev,
+            _state: list = self._state,
+            _record=self.arcs.setdefault,
+            _ids: list = [None] * len(sites),
+            _sites: tuple = sites,
+            _intern=self.table.intern,
+            _filename: str = filename,
+        ) -> None:
+            clock = _state[0] + 1
+            _state[0] = clock
+            arc_id = _ids[slot]
+            if arc_id is None:
+                arc_id = _ids[slot] = _intern((_filename, _sites[slot], lineno))
+            _record(arc_id, clock)
+            _prev[-1] = lineno
+            return None
+
+        return __cov_arc__
+
     def call_function(self) -> Callable[[str], None]:
         """The ``__cov_call__`` prologue: one frame entered."""
 
@@ -218,13 +268,6 @@ def _call(func: str, args: List[ast.expr]) -> ast.Call:
 
 def _line_event(lineno: int) -> ast.Expr:
     return ast.Expr(value=_call(_COV_LINE, [ast.Constant(lineno)]))
-
-
-def _or_trick(lineno: int, test: ast.expr) -> ast.BoolOp:
-    """``test`` -> ``(__cov_line__(lineno) or test)`` (fires per check)."""
-    return ast.BoolOp(
-        op=ast.Or(), values=[_call(_COV_LINE, [ast.Constant(lineno)]), test]
-    )
 
 
 def _is_docstring_or_constant(stmt: ast.stmt) -> bool:
@@ -328,6 +371,10 @@ class _CompRewriter(ast.NodeTransformer):
                     )
         return generator
 
+    def _owner_event(self) -> List[ast.stmt]:
+        """The owner line event of a fresh comprehension frame."""
+        return self._instrumenter.event(self._owner, ENTRY)
+
     def _closure(self, name: str, body: List[ast.stmt]) -> str:
         function_name = self._instrumenter.fresh_name()
         arguments = ast.arguments(
@@ -371,14 +418,14 @@ class _CompRewriter(ast.NodeTransformer):
         # def closure(__cov_it__):
         #     __cov_call__('<listcomp>')
         #     try:
-        #         __cov_line__(owner)        # the frame's single owner event
+        #         __cov_arc__(slot, owner)   # the frame's single owner event
         #         return [... for ... in __cov_it__]
         #     finally:
         #         __cov_ret__()
         body: List[ast.stmt] = [
             ast.Expr(value=_call(_COV_CALL, [ast.Constant(_COMP_NAMES[type(node)])])),
             ast.Try(
-                body=[_line_event(self._owner), ast.Return(value=inner)],
+                body=self._owner_event() + [ast.Return(value=inner)],
                 handlers=[],
                 orelse=[],
                 finalbody=[ast.Expr(value=_call(_COV_RET, []))],
@@ -408,7 +455,7 @@ class _CompRewriter(ast.NodeTransformer):
         #     while True:
         #         __cov_call__('<genexpr>')
         #         try:
-        #             __cov_line__(owner)
+        #             __cov_arc__(slot, owner)
         #             try:
         #                 <target> = next(__cov_it__)
         #             except StopIteration:
@@ -437,8 +484,7 @@ class _CompRewriter(ast.NodeTransformer):
         loop_body: List[ast.stmt] = [
             ast.Expr(value=_call(_COV_CALL, [ast.Constant("<genexpr>")])),
             ast.Try(
-                body=[
-                    _line_event(self._owner),
+                body=self._owner_event() + [
                     fetch,
                     ast.Assign(targets=[_store("__cov_value__")], value=node.elt),
                 ],
@@ -461,14 +507,47 @@ class _CompRewriter(ast.NodeTransformer):
 
 
 class _Instrumenter:
-    """Rewrites one module tree in place (function bodies only)."""
+    """Rewrites one module tree in place (function bodies only).
+
+    Each rewrite step threads the frame's *static previous line*: the line
+    of the last event fired in the frame whenever control reaches the
+    current point, or None where several paths join.  Where it is known, a
+    line event becomes a ``__cov_arc__`` slot; ``sites`` collects every
+    slot's predecessor.
+    """
 
     def __init__(self) -> None:
         self._counter = 0
+        self.sites: List[int] = []
 
     def fresh_name(self, kind: str = "closure") -> str:
         self._counter += 1
         return f"__cov_{kind}_{self._counter}__"
+
+    def _event_call(
+        self, lineno: int, previous: Optional[int]
+    ) -> Optional[ast.Call]:
+        """The call recording ``lineno`` reached from static line
+        ``previous`` (None: unknown), or None for no event at all."""
+        if previous is None:
+            return _call(_COV_LINE, [ast.Constant(lineno)])
+        if previous == lineno:
+            return None
+        self.sites.append(previous)
+        slot = len(self.sites) - 1
+        return _call(_COV_ARC, [ast.Constant(slot), ast.Constant(lineno)])
+
+    def event(self, lineno: int, previous: Optional[int]) -> List[ast.stmt]:
+        """The line event statement for ``lineno`` reached from ``previous``."""
+        call = self._event_call(lineno, previous)
+        return [] if call is None else [ast.Expr(value=call)]
+
+    def _test_event(
+        self, lineno: int, previous: Optional[int], test: ast.expr
+    ) -> ast.expr:
+        """``test`` -> ``(<event> or test)``: fires once per check."""
+        call = self._event_call(lineno, previous)
+        return test if call is None else ast.BoolOp(op=ast.Or(), values=[call, test])
 
     def instrument_module(self, tree: ast.Module) -> None:
         self._scan_definitions(tree.body)
@@ -487,7 +566,7 @@ class _Instrumenter:
                 self._scan_definitions(statement.body)
 
     def _instrument_function(self, function: ast.FunctionDef) -> None:
-        body = self._block(function.body)
+        body = self._block(function.body, ENTRY)
         function.body = [
             ast.Expr(value=_call(_COV_CALL, [ast.Constant(function.name)])),
             ast.Try(
@@ -498,10 +577,13 @@ class _Instrumenter:
             ),
         ]
 
-    def _block(self, statements: List[ast.stmt]) -> List[ast.stmt]:
+    def _block(
+        self, statements: List[ast.stmt], previous: Optional[int]
+    ) -> List[ast.stmt]:
         out: List[ast.stmt] = []
         for statement in statements:
-            out.extend(self._statement(statement))
+            rewritten, previous = self._statement(statement, previous)
+            out.extend(rewritten)
         return out
 
     def _rewrite_expressions(
@@ -516,7 +598,15 @@ class _Instrumenter:
                 setattr(statement, field, rewriter.visit(getattr(statement, field)))
         return rewriter.hoisted
 
-    def _statement(self, statement: ast.stmt) -> List[ast.stmt]:
+    def _statement(
+        self, statement: ast.stmt, previous: Optional[int]
+    ) -> Tuple[List[ast.stmt], Optional[int]]:
+        """Rewrite one statement reached from static line ``previous``.
+
+        Returns the replacement statements and the static previous line
+        after them: known only after a simple statement (control can only
+        fall through it), None after a compound one (a join).
+        """
         head = statement_head(statement)
         # Statements that execute without a line event of their own.
         if (
@@ -524,40 +614,45 @@ class _Instrumenter:
             or isinstance(statement, (ast.Global, ast.Nonlocal))
             or (isinstance(statement, ast.AnnAssign) and statement.value is None)
         ):
-            return [statement]
+            return [statement], previous
         if isinstance(statement, ast.FunctionDef):
             self._instrument_function(statement)
-            return [_line_event(head), statement]
+            return self.event(head, previous) + [statement], None
         if isinstance(statement, ast.If):
             hoisted = self._rewrite_expressions(statement, head, ("test",))
-            statement.test = _or_trick(head, statement.test)
-            statement.body = self._block(statement.body)
-            statement.orelse = self._block(statement.orelse)
-            return hoisted + [statement]
+            statement.test = self._test_event(head, previous, statement.test)
+            # Both branches start right after the header's check; an
+            # ``elif`` is an If first in ``orelse``, so its test is static.
+            statement.body = self._block(statement.body, head)
+            statement.orelse = self._block(statement.orelse, head)
+            return hoisted + [statement], None
         if isinstance(statement, ast.While):
             # The or-trick fires the header per check: at entry, after every
             # back-jump, and for the final failing check — matching CPython,
             # which attributes even a `while True:` back-jump to the header
-            # line (no event when the loop exits via break/return).
+            # line (no event when the loop exits via break/return).  The
+            # re-checks make the header's predecessor dynamic.
             hoisted = self._rewrite_expressions(statement, head, ("test",))
-            statement.body = self._block(statement.body)
-            statement.test = _or_trick(head, statement.test)
-            return hoisted + [statement]
+            statement.body = self._block(statement.body, head)
+            statement.test = self._test_event(head, None, statement.test)
+            return hoisted + [statement], None
         if isinstance(statement, ast.For):
-            return self._rewrite_for(statement, head)
+            return self._rewrite_for(statement, head, previous), None
         if isinstance(statement, ast.Try):
-            statement.body = self._block(statement.body)
-            statement.finalbody = self._block(statement.finalbody)
+            statement.body = self._block(statement.body, head)
+            statement.finalbody = self._block(statement.finalbody, None)
             if statement.handlers:
                 statement.handlers = [
                     self._dispatch_handler(statement.handlers, head)
                 ]
-            return [_line_event(head), statement]
+            return self.event(head, previous) + [statement], None
         # Plain statement (assign, call, return, raise, import, pass, ...).
         hoisted = self._rewrite_expressions(statement, head, None)
-        return hoisted + [_line_event(head), statement]
+        return hoisted + self.event(head, previous) + [statement], head
 
-    def _rewrite_for(self, statement: ast.For, head: int) -> List[ast.stmt]:
+    def _rewrite_for(
+        self, statement: ast.For, head: int, previous: Optional[int]
+    ) -> List[ast.stmt]:
         """Desugar ``for`` into ``while True`` + explicit ``next()``.
 
         A traced ``for`` fires its header line per fetch: at entry, after
@@ -575,6 +670,9 @@ class _Instrumenter:
                 except StopIteration:
                     break
                 BODY
+
+        The first event is a static arc when ``previous`` is known; the
+        per-fetch one is a loop re-check and stays dynamic.
         """
         hoisted = self._rewrite_expressions(statement, head, ("iter",))
         iterator_name = self.fresh_name("iter")
@@ -597,14 +695,14 @@ class _Instrumenter:
         )
         loop = ast.While(
             test=ast.Constant(True),
-            body=[_line_event(head), fetch] + self._block(statement.body),
+            body=[_line_event(head), fetch] + self._block(statement.body, head),
             orelse=[],
         )
         setup = ast.Assign(
             targets=[_store(iterator_name)],
             value=_call("iter", [statement.iter]),
         )
-        return hoisted + [_line_event(head), setup, loop]
+        return hoisted + self.event(head, previous) + [setup, loop]
 
     def _dispatch_handler(
         self, handlers: List[ast.ExceptHandler], try_head: int
@@ -615,11 +713,13 @@ class _Instrumenter:
         arrives (every examined clause line maps there), then the matching
         handler body.  The synthesized handler fires that event and
         re-implements clause matching with ``isinstance``; unmatched
-        exceptions are re-raised bare, preserving the traceback.
+        exceptions are re-raised bare, preserving the traceback.  The
+        dispatch event's predecessor is wherever the exception came from,
+        so it stays dynamic; each handler body starts after it.
         """
         orelse: List[ast.stmt] = [ast.Raise(exc=None, cause=None)]
         for handler in reversed(handlers):
-            body = self._block(handler.body)
+            body = self._block(handler.body, try_head)
             if handler.name:
                 # Replicate `except E as name:` binding and unbinding.
                 body = [
@@ -760,9 +860,10 @@ def _build(subject) -> Tuple[Dict[str, list], Collector]:
     for module in clone_set:
         filename, tree = _clone_source(module)
         tree = _RewriteImports(clone_names).visit(tree)
+        instrumenter = _Instrumenter()
         if module.__name__ in instrumented_names:
             _check_supported(tree, filename)
-            _Instrumenter().instrument_module(tree)
+            instrumenter.instrument_module(tree)
         ast.fix_missing_locations(tree)
         code = compile(tree, filename, "exec")
         clone = types.ModuleType(module.__name__)
@@ -771,6 +872,7 @@ def _build(subject) -> Tuple[Dict[str, list], Collector]:
         namespace = clone.__dict__
         line_function = collector.line_function(filename)
         namespace[_COV_LINE] = line_function
+        namespace[_COV_ARC] = collector.arc_function(filename, instrumenter.sites)
         namespace[_COV_CALL] = collector.call_function()
         namespace[_COV_RET] = collector.ret_function()
         namespace[_COV_IMPORT] = importer

@@ -11,9 +11,11 @@ interpreted as the program encountering EOF before processing is complete".
 
 from __future__ import annotations
 
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
 from repro.taint.tchar import TChar
 from repro.taint.tstr import TaintedStr
+
+_active_recorder = CURRENT_RECORDER.get
 
 
 class InputStream:
@@ -43,7 +45,7 @@ class InputStream:
     def _fetch(self, index: int) -> TChar:
         text = self.text
         if index >= len(text):
-            recorder = current_recorder()
+            recorder = _active_recorder()
             if recorder is not None:
                 recorder.record_eof(len(text))
             if self._max_accessed < len(text):
@@ -69,7 +71,7 @@ class InputStream:
         """
         char = self._fetch(self.pos)
         if not char.is_eof:
-            recorder = current_recorder()
+            recorder = _active_recorder()
             if recorder is not None:
                 recorder.record_access(self.pos)
             self.pos += 1
@@ -100,7 +102,7 @@ class InputStream:
             if char.is_eof or not predicate(char):
                 return buffer
             buffer = buffer.append(char)
-            recorder = current_recorder()
+            recorder = _active_recorder()
             if recorder is not None:
                 recorder.record_access(self.pos)
             self.pos += 1

@@ -23,7 +23,7 @@ from typing import List, Union
 
 from repro.runtime.errors import ParseError
 from repro.runtime.stream import InputStream
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
 from repro.taint.tchar import TChar
 from repro.tables.grammar import CharClass, END, ParseTable, Terminal
 
@@ -44,7 +44,7 @@ class TableParser:
     # ------------------------------------------------------------------ #
 
     def _record_cell(self, nonterminal: str, terminal: Union[Terminal, None]) -> None:
-        recorder = current_recorder()
+        recorder = CURRENT_RECORDER.get()
         if recorder is None or not self.instrumented:
             return
         column = (

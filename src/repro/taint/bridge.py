@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.taint.events import ComparisonKind
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
 
 
 def record_token_expectation(
@@ -44,7 +44,7 @@ def record_token_expectation(
             spelling for token classes, e.g. ``"0"`` for numbers).
         matched: whether the check succeeded.
     """
-    recorder = current_recorder()
+    recorder = CURRENT_RECORDER.get()
     if recorder is None or not expected_spelling:
         return
     indices: Tuple[int, ...] = tuple(
@@ -56,6 +56,6 @@ def record_token_expectation(
         actual_spelling,
         expected_spelling,
         matched,
-        indices=indices,
-        at_eof=not actual_spelling,
+        indices,
+        not actual_spelling,
     )

@@ -6,7 +6,11 @@ to the ambient recorder; the harness reads the collected events afterwards to
 drive substitution and the search heuristic.
 
 The recorder is held in a :mod:`contextvars` variable so nested runs (e.g.
-the evaluation harness re-running stored inputs) do not interfere.
+the evaluation harness re-running stored inputs) do not interfere.  The
+recording sites on the hot path (the proxies, the wrappers, the input
+stream) read :data:`CURRENT_RECORDER` directly through its bound ``get``
+— one C call per comparison instead of a Python-level
+:func:`current_recorder` call around it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.taint.events import ComparisonEvent, ComparisonKind, EOFEvent
 
-_CURRENT: contextvars.ContextVar[Optional["Recorder"]] = contextvars.ContextVar(
-    "repro_taint_recorder", default=None
+#: The recorder of the execution in progress (None outside any run).
+CURRENT_RECORDER: contextvars.ContextVar[Optional["Recorder"]] = (
+    contextvars.ContextVar("repro_taint_recorder", default=None)
 )
 
 
@@ -68,17 +73,19 @@ class Recorder:
         at_eof: bool = False,
     ) -> None:
         """Append one comparison event to the trace."""
+        # Positional: keyword arguments make the NamedTuple's __new__
+        # about twice as slow, and this is the hottest call of a run.
         self.comparisons.append(
             ComparisonEvent(
-                kind=kind,
-                index=index,
-                tainted_value=tainted_value,
-                other_value=other_value,
-                result=result,
-                stack_depth=self.depth_provider(),
-                indices=indices,
-                at_eof=at_eof,
-                clock=self.clock_provider(),
+                kind,
+                index,
+                tainted_value,
+                other_value,
+                result,
+                self.depth_provider(),
+                indices,
+                at_eof,
+                self.clock_provider(),
             )
         )
 
@@ -183,15 +190,15 @@ class Recorder:
 
 def current_recorder() -> Optional[Recorder]:
     """The recorder of the execution currently in progress, if any."""
-    return _CURRENT.get()
+    return CURRENT_RECORDER.get()
 
 
 @contextlib.contextmanager
 def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Install ``recorder`` (or a fresh one) as the ambient recorder."""
     active = recorder if recorder is not None else Recorder()
-    token = _CURRENT.set(active)
+    token = CURRENT_RECORDER.set(active)
     try:
         yield active
     finally:
-        _CURRENT.reset(token)
+        CURRENT_RECORDER.reset(token)

@@ -18,10 +18,16 @@ way they do for C's ``EOF``.
 from __future__ import annotations
 
 import string
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 from repro.taint.events import ComparisonKind
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
+
+if TYPE_CHECKING:
+    from repro.taint.tstr import TaintedStr
+
+_active_recorder = CURRENT_RECORDER.get
+_EQ = ComparisonKind.EQ
 
 #: Character classes used by the ``is*`` predicates.  Restricted to ASCII, as
 #: the paper's subjects are byte-oriented C parsers.
@@ -71,20 +77,18 @@ class TChar:
     # Recording plumbing
     # ------------------------------------------------------------------ #
 
-    def _indices(self) -> Tuple[int, ...]:
-        return () if self.is_eof else (self.index,)
-
     def _record(self, kind: ComparisonKind, other_value: str, result: bool) -> bool:
-        recorder = current_recorder()
+        recorder = _active_recorder()
         if recorder is not None:
+            is_eof = self.is_eof
             recorder.record(
                 kind,
                 self.index,
                 self.value,
                 other_value,
                 result,
-                indices=self._indices(),
-                at_eof=self.is_eof,
+                () if is_eof else (self.index,),
+                is_eof,
             )
         return result
 
@@ -102,6 +106,10 @@ class TChar:
     # ------------------------------------------------------------------ #
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is str and len(other) == 1:
+            # The common case, ``c == "x"``, before any type dispatch.  For
+            # the EOF sentinel ``value`` is "" and the result False, as below.
+            return self._record(_EQ, other, self.value == other)
         if isinstance(other, TChar) and other.is_eof:
             return self._record(ComparisonKind.EQ, "", self.is_eof)
         if not isinstance(other, (TChar, str)):
@@ -186,17 +194,30 @@ class TChar:
     # Taint-preserving transforms and conversions
     # ------------------------------------------------------------------ #
 
-    def lower(self) -> "TChar":
+    def lower(self) -> Union["TChar", "TaintedStr"]:
         """Lower-cased copy carrying the same taint (wrapped ``tolower``)."""
         if self.is_eof:
             return self
-        return TChar(self.value.lower(), self.index)
+        return self._case_mapped(self.value.lower())
 
-    def upper(self) -> "TChar":
+    def upper(self) -> Union["TChar", "TaintedStr"]:
         """Upper-cased copy carrying the same taint (wrapped ``toupper``)."""
         if self.is_eof:
             return self
-        return TChar(self.value.upper(), self.index)
+        return self._case_mapped(self.value.upper())
+
+    def _case_mapped(self, mapped: str) -> Union["TChar", "TaintedStr"]:
+        """``mapped`` tainted with this character's index.
+
+        Unicode case maps can expand (``"ß".upper()`` is ``"SS"``), so a
+        multi-character result is a :class:`TaintedStr` whose characters
+        all carry the index, as ``TaintedStr`` case maps do.
+        """
+        if len(mapped) == 1:
+            return TChar(mapped, self.index)
+        from repro.taint.tstr import TaintedStr  # tstr imports this module
+
+        return TaintedStr(mapped, (self.index,) * len(mapped))
 
     def digit_value(self) -> int:
         """``c - '0'`` for digit characters (taint is consumed)."""

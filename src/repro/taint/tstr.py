@@ -19,8 +19,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.taint.events import ComparisonKind
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
 from repro.taint.tchar import TChar
+
+_active_recorder = CURRENT_RECORDER.get
 
 Appendable = Union["TaintedStr", TChar, str]
 
@@ -98,7 +100,7 @@ class TaintedStr:
         return tuple(t for t in self.taints if t is not None)
 
     def _record_strcmp(self, other: str, result: bool) -> bool:
-        recorder = current_recorder()
+        recorder = _active_recorder()
         index = self.first_index()
         if recorder is not None and index is not None:
             recorder.record(
@@ -107,7 +109,7 @@ class TaintedStr:
                 self.text,
                 other,
                 result,
-                indices=self.tainted_indices(),
+                self.tainted_indices(),
             )
         return result
 
@@ -131,8 +133,19 @@ class TaintedStr:
     def __hash__(self) -> int:
         return hash(self.text)
 
-    def startswith(self, prefix: str) -> bool:
-        """Recorded prefix check (the ``strncmp(buf, kw, n)`` idiom)."""
+    def startswith(self, prefix: Union[str, Tuple[str, ...]]) -> bool:
+        """Recorded prefix check (the ``strncmp(buf, kw, n)`` idiom).
+
+        Like ``str.startswith``, ``prefix`` may be a tuple: each prefix is
+        recorded as its own comparison, and the result is whether any of
+        them matched.
+        """
+        if isinstance(prefix, tuple):
+            matched = False
+            for option in prefix:
+                if self._record_strcmp(option, self.text.startswith(option)):
+                    matched = True
+            return matched
         return self._record_strcmp(prefix, self.text.startswith(prefix))
 
     # ------------------------------------------------------------------ #

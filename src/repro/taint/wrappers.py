@@ -16,12 +16,14 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.taint.events import ComparisonKind
-from repro.taint.recorder import current_recorder
+from repro.taint.recorder import CURRENT_RECORDER
 from repro.taint.tchar import DIGITS, TChar
 from repro.taint.tstr import TaintedStr
 
 StrLike = Union[TaintedStr, str]
 CharLike = Union[TChar, str]
+
+_active_recorder = CURRENT_RECORDER.get
 
 
 def _as_tstr(value: Union[TaintedStr, TChar, str]) -> TaintedStr:
@@ -33,7 +35,7 @@ def _as_tstr(value: Union[TaintedStr, TChar, str]) -> TaintedStr:
 
 
 def _record_strcmp(tainted: TaintedStr, other: str, result: bool) -> None:
-    recorder = current_recorder()
+    recorder = _active_recorder()
     index = tainted.first_index()
     if recorder is not None and index is not None:
         recorder.record(
@@ -42,7 +44,7 @@ def _record_strcmp(tainted: TaintedStr, other: str, result: bool) -> None:
             tainted.text,
             other,
             result,
-            indices=tainted.tainted_indices(),
+            tainted.tainted_indices(),
         )
 
 
@@ -97,7 +99,7 @@ def switch_on(char: CharLike, cases: str) -> bool:
     expose all alternatives to the fuzzer in one event.
     """
     if isinstance(char, TChar):
-        recorder = current_recorder()
+        recorder = _active_recorder()
         result = (not char.is_eof) and char.value in cases
         if recorder is not None:
             recorder.record(
@@ -106,8 +108,8 @@ def switch_on(char: CharLike, cases: str) -> bool:
                 char.value,
                 cases,
                 result,
-                indices=() if char.is_eof else (char.index,),
-                at_eof=char.is_eof,
+                () if char.is_eof else (char.index,),
+                char.is_eof,
             )
         return result
     return char in cases

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime import instrument
 from repro.runtime.harness import COVERAGE_BACKENDS, run_subject
 from repro.runtime.instrument import (
     UnsupportedConstruct,
     instrumented_subject,
 )
-from repro.subjects.registry import ALL_SUBJECT_NAMES, load_subject
+from repro.subjects.registry import available_subjects, load_subject
 
 # Per-subject corpora mixing accepted inputs, rejected inputs and inputs
 # failing with an incomplete-input (EOF) error, so every tracer code path —
@@ -38,10 +39,27 @@ CORPUS = {
             "for (var i = 0; i < 3; i = i + 1) { print(i); }",
             "undefined_var;", "1 === 1;", "print(1, 2);",
             "var a = [1]; a[0];", "JSON.stringify([1, {a: 2}]);"],
+    "url": ["", "http://a.b/c?d=e", "http//", "h", "http:", "http://",
+            "ftp://host:21/x#frag", "http://h:port", "a+b.c://x/y/z?q#f",
+            "http://a.b:8080", "1http://x"],
+    "httpreq": ["", "GET / HTTP/1.1\r\n", "PUNCH / HTTP/1.1\r\n", "GE",
+                "POST /x HTTP/1.0\r\n", "DELETE /a?b HTTP/2.0\r\n",
+                "GET  HTTP/1.1\r\n", "GET / HTTP/1.", "HEAD / HTTP/1.1\n",
+                "get / HTTP/1.1\r\n"],
+    "isodate": ["", "2024-02-29", "2023-02-29", "2024-13-01",
+                "2024-01-01T12:30:45Z", "2024-01-01T25:00:00", "2024-0",
+                "20x4-01-01", "2024-01-01T12:30:45", "1999-12-31Z"],
+    # The crash-hunting tests' helper plugin, registered when one of their
+    # modules was collected first.
+    "crashy": ["", "a", "(a)", "((a", "(b", "(" * 13],
 }
 
+#: Every loadable subject; one without a corpus gets a single failing
+#: case instead of silently none.
 CASES = [
-    (name, text) for name in ALL_SUBJECT_NAMES for text in CORPUS[name]
+    (name, text)
+    for name in available_subjects()
+    for text in CORPUS.get(name, (None,))
 ]
 
 
@@ -51,6 +69,8 @@ CASES = [
     ids=[f"{name}-{text!r}" for name, text in CASES],
 )
 def test_backends_equivalent(subject_name, text):
+    if text is None:
+        pytest.fail(f"no backend-equivalence corpus for {subject_name!r}")
     subject = load_subject(subject_name)
     traced = run_subject(subject, text, coverage_backend="settrace")
     compiled = run_subject(subject, text, coverage_backend="ast")
@@ -69,6 +89,44 @@ def test_backends_equivalent(subject_name, text):
         compiled.average_stack_size()
     )
     assert traced.path_signature() == compiled.path_signature()
+
+
+@pytest.mark.parametrize("subject_name", sorted({name for name, _ in CASES}))
+def test_static_arc_predecessors_hold(subject_name):
+    """Every ``__cov_arc__`` site fires only where the frame's dynamic
+    previous line is the static predecessor the rewriter assumed."""
+    if subject_name not in CORPUS:
+        pytest.fail(f"no backend-equivalence corpus for {subject_name!r}")
+    subject = load_subject(subject_name)
+    _, collector = instrumented_subject(subject)
+    key = getattr(subject, "arc_table_key", None) or type(subject)
+    registry, _ = instrument._BUILDS[key]
+    previous = collector._prev
+    checked = []
+    mismatches = []
+
+    def checking(original, sites):
+        def __cov_arc__(slot, lineno):
+            checked.append(slot)
+            if previous[-1] != sites[slot]:
+                mismatches.append((lineno, sites[slot], previous[-1]))
+            original(slot, lineno)
+
+        return __cov_arc__
+
+    namespaces = [entry[0].__dict__ for entry in registry.values()]
+    originals = [namespace["__cov_arc__"] for namespace in namespaces]
+    try:
+        for namespace, original in zip(namespaces, originals):
+            sites = collector.sites[namespace["__file__"]]
+            namespace["__cov_arc__"] = checking(original, sites)
+        for text in CORPUS[subject_name]:
+            run_subject(subject, text, coverage_backend="ast")
+    finally:
+        for namespace, original in zip(namespaces, originals):
+            namespace["__cov_arc__"] = original
+    assert checked
+    assert not mismatches, f"(line, static, dynamic): {mismatches[:5]}"
 
 
 def test_backend_names_exported():

@@ -113,6 +113,27 @@ def test_load_subject_module_reports_registered_names():
     assert load_subject_module("crashy_plugin") == ("crashy",)
 
 
+def test_tuple_prefix_plugin_campaign_queues_every_prefix():
+    """A parser calling ``buf.startswith(("0x", "0b"))`` used to record the
+    tuple as the STRCMP operand, and substitution then raised TypeError
+    within a few executions.  Each prefix is now its own comparison."""
+    from repro.core.config import FuzzerConfig
+    from repro.core.fuzzer import PFuzzer
+
+    sys.path.insert(0, HELPERS)
+    load_subject_module("radix_plugin")
+    config = FuzzerConfig(seed=3, max_executions=300, coverage_backend="ast")
+    result = PFuzzer(load_subject("radix"), config).run()
+    assert result.executions == 300
+    queued = {
+        node.replacement
+        for node in result.lineage.nodes.values()
+        if node.op == "substitute"
+    }
+    assert {"0x", "0b"} <= queued
+    assert result.crashes == 0
+
+
 def test_load_subject_module_import_failure_is_wrapped():
     with pytest.raises(SubjectRegistrationError, match="cannot import"):
         load_subject_module("no_such_plugin_module")

@@ -1,10 +1,13 @@
 """Tainted character proxy: comparisons behave like chars and are recorded."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.taint.events import ComparisonKind
 from repro.taint.recorder import Recorder, recording
 from repro.taint.tchar import EOF_CHAR, TChar
+from repro.taint.tstr import TaintedStr
 
 
 def test_value_and_index():
@@ -159,6 +162,33 @@ def test_case_transforms_preserve_taint():
     assert upper.index == 9
     assert upper.lower().value == "a"
     assert TChar.eof(1).upper().is_eof
+
+
+@pytest.mark.parametrize(
+    "char,method,expected",
+    [("İ", "lower", "i̇"), ("ß", "upper", "SS"), ("ŉ", "upper", "ʼN")],
+)
+def test_case_transform_expansion_returns_tainted_str(char, method, expected):
+    """Case maps that expand give a TaintedStr, every character tainted
+    with the source index; before, TChar's constructor raised ValueError
+    and a subject saw a crash."""
+    mapped = getattr(TChar(char, 6), method)()
+    assert isinstance(mapped, TaintedStr)
+    assert mapped.text == expected
+    assert mapped.taints == (6,) * len(expected)
+
+
+@given(st.characters())
+def test_case_transforms_match_str(char):
+    for method in ("lower", "upper"):
+        mapped = getattr(TChar(char, 2), method)()
+        expected = getattr(char, method)()
+        assert str(mapped) == expected
+        if len(expected) == 1:
+            assert isinstance(mapped, TChar)
+            assert mapped.index == 2
+        else:
+            assert mapped.taints == (2,) * len(expected)
 
 
 def test_digit_value():

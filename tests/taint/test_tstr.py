@@ -121,6 +121,22 @@ def test_startswith_recorded():
     assert event.other_value == "wh"
 
 
+def test_startswith_tuple_records_every_prefix():
+    """``str.startswith`` accepts a tuple; each prefix is its own STRCMP,
+    so no event carries a tuple as its operand."""
+    recorder = Recorder()
+    with recording(recorder):
+        assert tainted("0b101", 3).startswith(("0x", "0b"))
+        assert not tainted("12", 8).startswith(("0x", "0b"))
+    assert [(e.index, e.other_value, e.result) for e in recorder.comparisons] == [
+        (3, "0x", False),
+        (3, "0b", True),
+        (8, "0x", False),
+        (8, "0b", False),
+    ]
+    assert all(e.kind is ComparisonKind.STRCMP for e in recorder.comparisons)
+
+
 def test_strip_preserves_alignment():
     buffer = tainted("  ab\t")
     stripped = buffer.strip()
