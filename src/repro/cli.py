@@ -39,7 +39,8 @@ Examples::
 
 Exit codes: 0 on success, 1 when a parallel campaign cell failed or timed
 out (the rest of the grid still completes and prints), 2 on usage errors
-(argparse).
+(argparse's, and campaign options that are invalid or that the chosen
+path would not apply).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.config import FuzzerConfig
+from repro.core.config import FuzzerConfig, config_problems
 from repro.core.fuzzer import PFuzzer
 from repro.eval.campaign import TOOLS, run_campaign
 from repro.eval.code_cov import coverage_of_inputs
@@ -149,6 +150,90 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The :class:`~repro.core.config.FuzzerConfig` flags ``fuzz`` and
+#: ``submit`` share, each stored under its field's name.  Every flag
+#: defaults to None, "not given", so :func:`_campaign_options` forwards
+#: exactly the flags on the command line.
+_CAMPAIGN_FLAGS = (
+    ("--coverage-backend", dict(
+        choices=COVERAGE_BACKENDS,
+        help="coverage tracer: settrace (reference, the default) or ast "
+        "(compiled-in, faster)",
+    )),
+    ("--checkpoint-every", dict(
+        type=_positive_int, metavar="N",
+        help="snapshot cadence in executions (default: 500; 100 for "
+        "'fuzz --shards')",
+    )),
+    ("--executor", dict(
+        choices=EXECUTOR_MODES,
+        help="execution engine: inline (reference, in-process, the "
+        "default) or pooled (persistent forked-worker executor; identical "
+        "results, lower per-candidate fixed cost — see DESIGN.md §9)",
+    )),
+    ("--batch-size", dict(
+        type=_positive_int, metavar="N",
+        help="with --executor pooled: speculative candidates submitted per "
+        "round-trip (default: 1 — no speculation)",
+    )),
+    ("--cull-every", dict(
+        type=_positive_int, metavar="N",
+        help="drop dead/dominated queue entries every N executions "
+        "(queue hygiene; never changes the campaign result — "
+        "see DESIGN.md §10)",
+    )),
+    ("--hybrid", dict(
+        action="store_true",
+        help="hybrid campaign mode: mine a grammar whenever the "
+        "coverage-gain posterior plateaus and flood compiled-generator "
+        "candidates back into the corpus (DESIGN.md §11)",
+    )),
+    ("--mine-after", dict(
+        type=_positive_int, metavar="N",
+        help="with --hybrid: gain-evidence floor before a plateau may "
+        "trigger a mining phase, and the floor between phases "
+        "(default: 600)",
+    )),
+    ("--gen-batch", dict(
+        type=_positive_int, metavar="N",
+        help="with --hybrid: maximum generated candidates injected per "
+        "generation flood (default: 32)",
+    )),
+    ("--gen-depth", dict(
+        type=_positive_int, metavar="N",
+        help="with --hybrid: compiled-generator depth budget during "
+        "floods (default: 3; deeper floods suit subjects whose coverage "
+        "lives in deep input structure)",
+    )),
+    ("--hunt-crashes", dict(
+        action="store_true",
+        help="record crashing inputs as findings: deduplicated by "
+        "failure-site signature, stored as 'crash'-kind records by "
+        "'fuzz --corpus', and emitted as crash_found trace events",
+    )),
+)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    for flag, keywords in _CAMPAIGN_FLAGS:
+        parser.add_argument(flag, default=None, **keywords)
+
+
+def _campaign_options(args: argparse.Namespace) -> dict:
+    """The shared campaign flags given on the command line, as
+    ``{FuzzerConfig field: value}`` options."""
+    names = (flag[2:].replace("-", "_") for flag, _ in _CAMPAIGN_FLAGS)
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name) is not None
+    }
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -180,18 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print every accepted input, not only new-coverage ones",
     )
     fuzz.add_argument(
-        "--coverage-backend",
-        choices=COVERAGE_BACKENDS,
-        default="settrace",
-        help="coverage tracer: settrace (reference) or ast (compiled-in, faster)",
-    )
-    fuzz.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="write durable campaign snapshots to DIR (see --resume)",
-    )
-    fuzz.add_argument(
-        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
-        help="snapshot every N executions (default: 500)",
     )
     fuzz.add_argument(
         "--resume", action="store_true",
@@ -221,55 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: once per round)",
     )
     fuzz.add_argument(
-        "--slice-executions", type=_positive_int, default=200, metavar="N",
+        "--slice-executions", type=_positive_int, default=None, metavar="N",
         help="with --shards: round length in executions (default: 200)",
     )
-    fuzz.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="inline",
-        help="execution engine: inline (reference, in-process) or pooled "
-        "(persistent forked-worker executor; identical results, lower "
-        "per-candidate fixed cost — see DESIGN.md §9)",
-    )
-    fuzz.add_argument(
-        "--batch-size", type=_positive_int, default=1, metavar="N",
-        help="with --executor pooled: speculative candidates submitted per "
-        "round-trip (default: 1 — no speculation)",
-    )
-    fuzz.add_argument(
-        "--cull-every", type=_positive_int, default=None, metavar="N",
-        help="drop dead/dominated queue entries every N executions "
-        "(queue hygiene; never changes the campaign result — "
-        "see DESIGN.md §10)",
-    )
-    fuzz.add_argument(
-        "--hybrid", action="store_true",
-        help="hybrid campaign mode: mine a grammar whenever the "
-        "coverage-gain posterior plateaus and flood compiled-generator "
-        "candidates back into the corpus (DESIGN.md §11)",
-    )
-    fuzz.add_argument(
-        "--mine-after", type=_positive_int, default=600, metavar="N",
-        help="with --hybrid: gain-evidence floor before a plateau may "
-        "trigger a mining phase, and the floor between phases "
-        "(default: 600)",
-    )
-    fuzz.add_argument(
-        "--gen-batch", type=_positive_int, default=32, metavar="N",
-        help="with --hybrid: maximum generated candidates injected per "
-        "generation flood (default: 32)",
-    )
-    fuzz.add_argument(
-        "--gen-depth", type=_positive_int, default=3, metavar="N",
-        help="with --hybrid: compiled-generator depth budget during "
-        "floods (default: 3; deeper floods suit subjects whose coverage "
-        "lives in deep input structure)",
-    )
-    fuzz.add_argument(
-        "--hunt-crashes", action="store_true",
-        help="record crashing inputs as findings: deduplicated by "
-        "failure-site signature, stored as 'crash'-kind corpus records "
-        "with --corpus, and emitted as crash_found trace events",
-    )
+    _add_campaign_options(fuzz)
 
     compare = sub.add_parser("compare", help="pFuzzer vs AFL vs KLEE on one subject")
     compare.add_argument("subject", choices=SUBJECT_NAMES)
@@ -499,12 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fair-share weight; higher gets proportionally more slices",
     )
     submit.add_argument(
-        "--coverage-backend", choices=COVERAGE_BACKENDS, default="settrace"
-    )
-    submit.add_argument(
-        "--checkpoint-every", type=_positive_int, default=None, metavar="N"
-    )
-    submit.add_argument(
         "--trace", action="store_true",
         help="record an NDJSON campaign trace in the job's state directory "
         "(pFuzzer jobs only)",
@@ -517,43 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--sync-every", type=_positive_int, default=None, metavar="N",
         help="corpus-sync cadence in executions for sharded jobs "
-        "(default: the service's slice length)",
+        "(default: the job's checkpoint cadence)",
     )
-    submit.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="inline",
-        help="execution engine for the job's slices (pFuzzer only)",
-    )
-    submit.add_argument(
-        "--batch-size", type=_positive_int, default=1, metavar="N",
-        help="with --executor pooled: speculative candidates per round-trip",
-    )
-    submit.add_argument(
-        "--cull-every", type=_positive_int, default=None, metavar="N",
-        help="queue-hygiene cadence in executions (pFuzzer only; never "
-        "changes the job's result fingerprint)",
-    )
-    submit.add_argument(
-        "--hybrid", action="store_true",
-        help="run the job as a hybrid mine/generate campaign "
-        "(pFuzzer only; see 'repro fuzz --hybrid')",
-    )
-    submit.add_argument(
-        "--mine-after", type=_positive_int, default=None, metavar="N",
-        help="with --hybrid: gain-evidence/inter-phase floor",
-    )
-    submit.add_argument(
-        "--gen-batch", type=_positive_int, default=None, metavar="N",
-        help="with --hybrid: generated candidates per flood",
-    )
-    submit.add_argument(
-        "--gen-depth", type=_positive_int, default=None, metavar="N",
-        help="with --hybrid: compiled-generator flood depth budget",
-    )
-    submit.add_argument(
-        "--hunt-crashes", action="store_true",
-        help="run the job in crash-hunting mode (pFuzzer only; see "
-        "'repro fuzz --hunt-crashes')",
-    )
+    _add_campaign_options(submit)
     submit.add_argument(
         "--wait", action="store_true",
         help="block until the job reaches a terminal state",
@@ -574,25 +564,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_fuzz_sharded(args: argparse.Namespace) -> int:
-    """The --shards N>1 path: lockstep sharded group (DESIGN.md §8)."""
+def _cmd_fuzz_sharded(args: argparse.Namespace, options: dict) -> int:
+    """The --shards N>1 path: lockstep sharded group (DESIGN.md §8).
+    ``options`` holds only the campaign options a :class:`ShardPlan` takes."""
     import tempfile
 
     from repro.eval.shards import ShardPlan, run_sharded
 
-    if args.resume and args.checkpoint_dir is None:
-        print("# --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     root = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-shards-")
     plan = ShardPlan(
         subject=args.subject,
         budget=args.budget,
         shards=args.shards,
         base_seed=args.seed,
-        slice_executions=args.slice_executions,
+        slice_executions=args.slice_executions or ShardPlan.slice_executions,
         sync_every=args.sync_every,
-        checkpoint_every=args.checkpoint_every or 100,
-        coverage_backend=args.coverage_backend,
+        **options,
     )
     group = run_sharded(plan, root)
     for shard in group.shards:
@@ -623,6 +610,24 @@ def _cmd_fuzz_sharded(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unapplied_fuzz_flags(args: argparse.Namespace, options: dict) -> List[str]:
+    """The given ``fuzz`` flags its chosen path would drop: the lockstep
+    sharded path takes only the options a ``ShardPlan`` holds, and a single
+    campaign has no rounds to slice or sync."""
+    from repro.eval.shards import ShardPlan
+
+    if args.shards > 1:
+        given = [*options, *(n for n in ("trace", "all_valid") if getattr(args, n))]
+        return [
+            _flag(name) for name in given if name not in ShardPlan.__dataclass_fields__
+        ]
+    return [
+        _flag(name)
+        for name in ("sync_every", "slice_executions")
+        if getattr(args, name) is not None
+    ]
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.subject_module is not None:
         load_subject_module(args.subject_module)
@@ -633,32 +638,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards > 1:
-        return _cmd_fuzz_sharded(args)
-    subject = load_subject(args.subject)
-    durability = {}
-    if args.checkpoint_dir is not None:
-        durability["checkpoint_dir"] = args.checkpoint_dir
-        durability["resume"] = args.resume
-        if args.checkpoint_every is not None:
-            durability["checkpoint_every"] = args.checkpoint_every
-    elif args.resume:
-        print("# --resume requires --checkpoint-dir", file=sys.stderr)
+    options = _campaign_options(args)
+    problems = config_problems(options)
+    if args.resume and args.checkpoint_dir is None:
+        problems.append("--resume requires --checkpoint-dir")
+    unapplied = _unapplied_fuzz_flags(args, options)
+    if unapplied and args.shards > 1:
+        problems.append(f"--shards does not apply {', '.join(unapplied)}")
+    elif unapplied:
+        problems.append(f"{', '.join(unapplied)} apply only with --shards N > 1")
+    if problems:
+        for problem in problems:
+            print(f"# {problem}", file=sys.stderr)
         return 2
+    if args.shards > 1:
+        return _cmd_fuzz_sharded(args, options)
+    subject = load_subject(args.subject)
+    if args.checkpoint_dir is not None:
+        options.update(checkpoint_dir=args.checkpoint_dir, resume=args.resume)
     config = FuzzerConfig(
-        seed=args.seed,
-        max_executions=args.budget,
-        coverage_backend=args.coverage_backend,
-        trace_path=args.trace,
-        executor=args.executor,
-        batch_size=args.batch_size,
-        cull_every=args.cull_every,
-        hybrid=args.hybrid,
-        mine_after=args.mine_after,
-        gen_batch=args.gen_batch,
-        gen_depth=args.gen_depth,
-        hunt_crashes=args.hunt_crashes,
-        **durability,
+        seed=args.seed, max_executions=args.budget, trace_path=args.trace, **options
     )
     result = PFuzzer(subject, config).run()
     print(
@@ -1089,37 +1088,26 @@ def _service_call(url: str, operation) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    options = _campaign_options(args)
+    problems = config_problems(options)
+    if problems:
+        for problem in problems:
+            print(f"# {problem}", file=sys.stderr)
+        return 2
     spec = {
         "subject": args.subject,
         "tool": args.tool,
         "budget": args.budget,
         "seed": args.seed,
         "priority": args.priority,
-        "coverage_backend": args.coverage_backend,
+        **options,
     }
-    if args.checkpoint_every is not None:
-        spec["checkpoint_every"] = args.checkpoint_every
     if args.trace:
         spec["trace"] = True
     if args.shards > 1:
         spec["shards"] = args.shards
     if args.sync_every is not None:
         spec["sync_every"] = args.sync_every
-    if args.executor != "inline":
-        spec["executor"] = args.executor
-        spec["batch_size"] = args.batch_size
-    if args.cull_every is not None:
-        spec["cull_every"] = args.cull_every
-    if args.hybrid:
-        spec["hybrid"] = True
-        if args.mine_after is not None:
-            spec["mine_after"] = args.mine_after
-        if args.gen_batch is not None:
-            spec["gen_batch"] = args.gen_batch
-        if args.gen_depth is not None:
-            spec["gen_depth"] = args.gen_depth
-    if args.hunt_crashes:
-        spec["hunt_crashes"] = True
     if args.subject_module is not None:
         spec["subject_module"] = args.subject_module
 

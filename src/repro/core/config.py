@@ -1,10 +1,38 @@
-"""Configuration of the parser-directed fuzzer."""
+"""Configuration of the parser-directed fuzzer.
+
+:class:`FuzzerConfig` is the one declaration of every campaign knob.  Each
+field declares its value check and its fingerprint role:
+
+* :data:`KEYED` — part of the snapshot fingerprint on every campaign: the
+  knob shapes the result, so a snapshot taken under another value must not
+  restore;
+* :data:`UNKEYED` — never keyed: the budget and the engine, cull,
+  checkpoint, trace and sync-store settings change how, where or how far a
+  campaign runs, never what it finds, so a resumed campaign may change them
+  (resuming with a larger budget is how a finished campaign is extended;
+  the equivalence suites assert that engines and culling never change a
+  result);
+* a *switch*'s name (``"hybrid"``, ``"hunt_crashes"``) — keyed only while
+  that switch is on, so configs with the switch off keep the fingerprints
+  they had before the mode existed, and a snapshot never restores across
+  the switch because the key sets differ.  A field switched by another
+  field (``mine_after`` by ``hybrid``) is an option only while its switch
+  is on.
+
+:func:`config_fingerprint` builds the fingerprint from these roles and
+:func:`config_problems` checks an options mapping ``{field: value}``, the
+form every other layer (campaign, grid, job spec, scheduler, CLI) forwards
+instead of its own keyword list.  Adding a knob means one field here.
+"""
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Dict, Iterable, List, Mapping, Optional
+
+from repro.runtime.executor import EXECUTOR_MODES, ISOLATION_MODES
+from repro.runtime.harness import COVERAGE_BACKENDS
 
 #: Default pool the fuzzer appends random characters from: printable ASCII
 #: plus the common whitespace control characters.  The paper uses "the set of
@@ -52,9 +80,69 @@ class HeuristicWeights:
     path_repetition: float = 1.0
 
 
+#: Fingerprint roles (see the module docstring).
+KEYED = "keyed"
+UNKEYED = "unkeyed"
+
+
+def _must_be(what: str, test):
+    def check(name: str, value) -> Optional[str]:
+        return None if test(value) else f"{name} must be {what}, got {value!r}"
+
+    return check
+
+
+_integer = _must_be("an integer", lambda value: isinstance(value, int))
+_positive = _must_be(
+    "a positive integer", lambda value: isinstance(value, int) and value >= 1
+)
+_non_negative = _must_be(
+    "a non-negative integer", lambda value: isinstance(value, int) and value >= 0
+)
+_boolean = _must_be("a boolean", lambda value: isinstance(value, bool))
+_text = _must_be(
+    "a non-empty string", lambda value: isinstance(value, str) and value != ""
+)
+
+
+def _one_of(*choices: str):
+    def check(name: str, value) -> Optional[str]:
+        if value not in choices:
+            return (
+                f"unknown {name.replace('_', ' ')} {value!r}; "
+                f"valid choices: {', '.join(choices)}"
+            )
+        return None
+
+    return check
+
+
+def _knob(
+    default=MISSING, *, check=None, role=KEYED, factory=MISSING, keyed_as=None
+):
+    """A :class:`FuzzerConfig` field with its value check and fingerprint
+    role; ``keyed_as(config)`` replaces the field's value in the
+    fingerprint.  A field whose default is None also accepts None."""
+    return field(
+        default=default,
+        default_factory=factory,
+        metadata={"check": check, "role": role, "keyed_as": keyed_as},
+    )
+
+
+def _synced_cadence(config: "FuzzerConfig") -> Optional[int]:
+    """The sync cadence is keyed only for a campaign that syncs; the store
+    path itself is environmental."""
+    return config.sync_cadence if config.sync_store is not None else None
+
+
 @dataclass
 class FuzzerConfig:
     """Runtime knobs of one fuzzing campaign.
+
+    Each field declares its value check and fingerprint role with it (see
+    the module docstring); :meth:`options` is the config in the form the
+    other layers forward.
 
     Attributes:
         seed: PRNG seed; None draws entropy from the OS.
@@ -180,36 +268,143 @@ class FuzzerConfig:
             on resume.
     """
 
-    seed: Optional[int] = None
-    max_executions: int = 2_000
-    max_valid_inputs: Optional[int] = None
-    max_input_length: int = 200
-    queue_limit: int = 5_000
-    character_pool: str = DEFAULT_CHARACTER_POOL
-    weights: HeuristicWeights = field(default_factory=HeuristicWeights)
-    trace_coverage: bool = True
-    coverage_backend: str = "settrace"
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 500
-    checkpoint_keep: int = 2
-    resume: bool = False
-    trace_path: Optional[str] = None
-    shard_id: int = 0
-    shard_count: int = 1
-    shard_rotate_every: int = 200
-    sync_store: Optional[str] = None
-    sync_every: Optional[int] = None
-    executor: str = "inline"
-    batch_size: int = 1
-    executor_workers: int = 1
-    executor_isolation: str = "auto"
-    cull_every: Optional[int] = None
-    hybrid: bool = False
-    mine_after: int = 600
-    gen_batch: int = 32
-    gen_depth: int = 3
-    hunt_crashes: bool = False
+    seed: Optional[int] = _knob(None, check=_integer)
+    max_executions: int = _knob(2_000, check=_positive, role=UNKEYED)
+    max_valid_inputs: Optional[int] = _knob(None, check=_positive)
+    max_input_length: int = _knob(200, check=_positive)
+    queue_limit: int = _knob(5_000, check=_positive)
+    character_pool: str = _knob(DEFAULT_CHARACTER_POOL, check=_text)
+    weights: HeuristicWeights = _knob(factory=HeuristicWeights)
+    trace_coverage: bool = _knob(True, check=_boolean)
+    coverage_backend: str = _knob(
+        "settrace", check=_one_of(*COVERAGE_BACKENDS)
+    )
+    checkpoint_dir: Optional[str] = _knob(None, role=UNKEYED)
+    checkpoint_every: int = _knob(500, check=_positive, role=UNKEYED)
+    checkpoint_keep: int = _knob(2, check=_positive, role=UNKEYED)
+    resume: bool = _knob(False, check=_boolean, role=UNKEYED)
+    trace_path: Optional[str] = _knob(None, role=UNKEYED)
+    shard_id: int = _knob(0, check=_non_negative)
+    shard_count: int = _knob(1, check=_positive)
+    shard_rotate_every: int = _knob(200, check=_positive)
+    sync_store: Optional[str] = _knob(None, role=UNKEYED)
+    sync_every: Optional[int] = _knob(
+        None, check=_positive, keyed_as=_synced_cadence
+    )
+    executor: str = _knob(
+        "inline", check=_one_of(*EXECUTOR_MODES), role=UNKEYED
+    )
+    batch_size: int = _knob(1, check=_positive, role=UNKEYED)
+    executor_workers: int = _knob(1, check=_positive, role=UNKEYED)
+    executor_isolation: str = _knob(
+        "auto", check=_one_of(*ISOLATION_MODES), role=UNKEYED
+    )
+    cull_every: Optional[int] = _knob(None, check=_positive, role=UNKEYED)
+    hybrid: bool = _knob(False, check=_boolean, role="hybrid")
+    mine_after: int = _knob(600, check=_positive, role="hybrid")
+    gen_batch: int = _knob(32, check=_positive, role="hybrid")
+    gen_depth: int = _knob(3, check=_positive, role="hybrid")
+    hunt_crashes: bool = _knob(False, check=_boolean, role="hunt_crashes")
     #: Optional seed corpus.  pFuzzer needs none (the paper's point), but a
     #: previous campaign's corpus can be resumed from here; seeds are
     #: processed before the empty-string start.
-    initial_inputs: tuple = ()
+    initial_inputs: tuple = _knob(())
+
+    @property
+    def sync_cadence(self) -> int:
+        """``sync_every``, or ``checkpoint_every`` when that is None."""
+        if self.sync_every is not None:
+            return self.sync_every
+        return self.checkpoint_every
+
+    def options(self) -> Dict[str, object]:
+        """This config as an options mapping: every field set away from
+        its default."""
+        return {
+            name: getattr(self, name)
+            for name, default in _DEFAULTS.items()
+            if getattr(self, name) != default
+        }
+
+
+_FIELDS = {spec.name: spec for spec in fields(FuzzerConfig)}
+_DEFAULTS = {
+    name: spec.default_factory() if spec.default is MISSING else spec.default
+    for name, spec in _FIELDS.items()
+}
+
+#: The switches: fields keyed only while they are on.
+SWITCHES = tuple(
+    name for name, spec in _FIELDS.items() if spec.metadata["role"] == name
+)
+
+
+def _plain(value):
+    """A keyed value in the JSON form a snapshot stores."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def config_fingerprint(config: FuzzerConfig, subject: str) -> dict:
+    """Everything a snapshot's config must match to be resumable: the
+    ``subject`` class name plus every field its role keys (see the module
+    docstring)."""
+    fingerprint = {"subject": subject}
+    for name, spec in _FIELDS.items():
+        role = spec.metadata["role"]
+        if role == UNKEYED or (role != KEYED and not getattr(config, role)):
+            continue
+        keyed_as = spec.metadata["keyed_as"]
+        fingerprint[name] = _plain(
+            keyed_as(config) if keyed_as else getattr(config, name)
+        )
+    return fingerprint
+
+
+def config_problems(
+    options: Mapping[str, object], reserved: Iterable[str] = ()
+) -> List[str]:
+    """Every problem with ``options``, a ``{FuzzerConfig field: value}``
+    mapping; empty when it is valid.
+
+    ``reserved`` names the fields the calling layer sets itself (say,
+    ``seed`` and ``max_executions`` from its own arguments); like a name
+    that is no field, they are reported with the list of valid options.
+    A field switched by another field is a problem while its switch is off
+    in ``options`` (``"mine_after requires hybrid mode"``).
+    """
+    reserved = set(reserved)
+    problems = []
+    stray = sorted(
+        name for name in options if name not in _FIELDS or name in reserved
+    )
+    if stray:
+        valid = [name for name in _FIELDS if name not in reserved]
+        problems.append(
+            f"unexpected options: {', '.join(stray)}; "
+            f"valid options: {', '.join(valid)}"
+        )
+    for name, value in options.items():
+        if name in stray:
+            continue
+        spec = _FIELDS[name]
+        check = spec.metadata["check"]
+        if check is not None and not (value is None and spec.default is None):
+            problem = check(name, value)
+            if problem is not None:
+                problems.append(problem)
+        role = spec.metadata["role"]
+        if role not in (KEYED, UNKEYED, name) and not options.get(role):
+            problems.append(f"{name} requires {role} mode")
+    shard_id = options.get("shard_id", 0)
+    shard_count = options.get("shard_count", 1)
+    if (
+        isinstance(shard_id, int)
+        and isinstance(shard_count, int)
+        and 0 < shard_count <= shard_id
+    ):
+        problems.append(f"shard_id {shard_id} outside 0..shard_count-1")
+    return problems

@@ -39,18 +39,17 @@ import os
 import random
 import signal
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.candidate import Candidate, normalize_branches
-from repro.core.config import FuzzerConfig
+from repro.core.config import FuzzerConfig, config_fingerprint, config_problems
 from repro.core.heuristic import static_score
 from repro.core.queue import CandidateQueue
 from repro.core.substitute import substitutions_for
 from repro.obs.lineage import LineageLog
 from repro.obs.trace import NULL_RECORDER, JsonlTraceRecorder, PhaseTimer, TraceRecorder
 from repro.runtime.arcs import arc_table_for
-from repro.runtime.executor import EXECUTOR_MODES, ISOLATION_MODES
 from repro.runtime.harness import ExitStatus, RunResult, run_subject
 from repro.subjects.base import Subject
 
@@ -178,6 +177,9 @@ class PFuzzer:
     ) -> None:
         self.subject = subject
         self.config = config or FuzzerConfig()
+        problems = config_problems(self.config.options())
+        if problems:
+            raise ValueError("; ".join(problems))
         self.on_emit = on_emit
         self.should_preempt = should_preempt
         self._owns_trace = tracer is None and self.config.trace_path is not None
@@ -225,32 +227,6 @@ class PFuzzer:
         self._wall_consumed = 0.0
         self._run_started: Optional[float] = None
         self._last_checkpoint = 0
-        if self.config.shard_count < 1 or not (
-            0 <= self.config.shard_id < self.config.shard_count
-        ):
-            raise ValueError(
-                f"invalid shard {self.config.shard_id}/"
-                f"{self.config.shard_count}"
-            )
-        if self.config.shard_rotate_every < 1:
-            raise ValueError("shard_rotate_every must be positive")
-        if self.config.executor not in EXECUTOR_MODES:
-            raise ValueError(
-                f"unknown executor {self.config.executor!r}; "
-                f"expected one of {EXECUTOR_MODES}"
-            )
-        if self.config.executor_isolation not in ISOLATION_MODES:
-            raise ValueError(
-                f"unknown executor isolation "
-                f"{self.config.executor_isolation!r}; "
-                f"expected one of {ISOLATION_MODES}"
-            )
-        if self.config.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.config.executor_workers < 1:
-            raise ValueError("executor_workers must be positive")
-        if self.config.cull_every is not None and self.config.cull_every < 1:
-            raise ValueError("cull_every must be positive")
         self._last_cull = 0
         #: The pooled execution engine, created for the duration of
         #: :meth:`run`; None means the inline fast path.
@@ -266,11 +242,7 @@ class PFuzzer:
                 tool="pfuzzer",
                 seed=self.config.seed if self.config.seed is not None else 0,
             )
-        self._sync_every = (
-            self.config.sync_every
-            if self.config.sync_every is not None
-            else self.config.checkpoint_every
-        )
+        self._sync_every = self.config.sync_cadence
         self._last_sync = 0
         #: The hybrid explore→learn→generate engine (None outside hybrid
         #: mode) and the arcs folded out of ``vBr`` by generation-phase
@@ -839,54 +811,9 @@ class PFuzzer:
     # ------------------------------------------------------------------ #
 
     def _config_fingerprint(self) -> dict:
-        """Everything a snapshot's config must match to be resumable.
-
-        ``max_executions`` is deliberately excluded: resuming with a larger
-        budget is how a finished campaign is extended.  The executor
-        fields (``executor``/``batch_size``/``executor_workers``/
-        ``executor_isolation``) are excluded like ``trace_path``: they are
-        environmental — every engine produces byte-identical campaigns,
-        so a resume may switch engines freely (the equivalence harness
-        asserts exactly this).
-        """
-        config = self.config
-        fingerprint = {
-            "subject": type(self.subject).__name__,
-            "seed": config.seed,
-            "trace_coverage": config.trace_coverage,
-            "coverage_backend": config.coverage_backend,
-            "max_input_length": config.max_input_length,
-            "queue_limit": config.queue_limit,
-            "character_pool": config.character_pool,
-            "max_valid_inputs": config.max_valid_inputs,
-            "initial_inputs": list(config.initial_inputs),
-            "weights": asdict(config.weights),
-            # Shard membership and cadence shape the campaign; the store
-            # path (like checkpoint_dir/trace_path) is environmental and
-            # deliberately excluded.
-            "shard_id": config.shard_id,
-            "shard_count": config.shard_count,
-            "shard_rotate_every": config.shard_rotate_every,
-            "sync_every": self._sync_every if self._syncer else None,
-        }
-        if config.hybrid:
-            # Hybrid mode changes the campaign result (phases mine,
-            # reset vBr and flood), so it and its cadence knobs must
-            # match on resume.  Keyed only when on: non-hybrid
-            # fingerprints stay byte-identical to pre-hybrid snapshots,
-            # and a hybrid snapshot can never restore into a non-hybrid
-            # campaign (or vice versa) — the key sets differ.
-            fingerprint["hybrid"] = True
-            fingerprint["mine_after"] = config.mine_after
-            fingerprint["gen_batch"] = config.gen_batch
-            fingerprint["gen_depth"] = config.gen_depth
-        if config.hunt_crashes:
-            # Hunting changes what the campaign *records* (crash findings
-            # join the result), so it must match on resume.  Keyed only
-            # when on, same discipline as ``hybrid``: crash-free configs
-            # keep their pre-hunting fingerprints.
-            fingerprint["hunt_crashes"] = True
-        return fingerprint
+        """Everything a snapshot's config must match to be resumable (see
+        :func:`repro.core.config.config_fingerprint`)."""
+        return config_fingerprint(self.config, type(self.subject).__name__)
 
     @staticmethod
     def _encode_candidate(candidate: Candidate, branch_set: int) -> list:

@@ -16,7 +16,7 @@ from repro.baselines.klee import KleeConfig, KleeExplorer
 from repro.baselines.rand import RandomConfig, RandomFuzzer
 from repro.baselines.driller import DrillerConfig, DrillerFuzzer
 from repro.baselines.steelix import SteelixConfig, SteelixFuzzer
-from repro.core.config import FuzzerConfig
+from repro.core.config import FuzzerConfig, config_problems
 from repro.core.fuzzer import PFuzzer
 from repro.subjects.base import Subject
 from repro.subjects.registry import (
@@ -27,28 +27,28 @@ from repro.subjects.registry import (
 )
 
 
-def _run_pfuzzer(subject: Subject, seed: int, budget: int, durability: dict):
-    config = FuzzerConfig(seed=seed, max_executions=budget, **durability)
+def _run_pfuzzer(subject: Subject, seed: int, budget: int, options: dict):
+    config = FuzzerConfig(seed=seed, max_executions=budget, **options)
     return PFuzzer(subject, config).run()
 
 
-def _run_afl(subject: Subject, seed: int, budget: int, durability: dict):
+def _run_afl(subject: Subject, seed: int, budget: int, options: dict):
     return AFLFuzzer(subject, AFLConfig(seed=seed, max_executions=budget)).run()
 
 
-def _run_klee(subject: Subject, seed: int, budget: int, durability: dict):
+def _run_klee(subject: Subject, seed: int, budget: int, options: dict):
     return KleeExplorer(subject, KleeConfig(seed=seed, max_executions=budget)).run()
 
 
-def _run_random(subject: Subject, seed: int, budget: int, durability: dict):
+def _run_random(subject: Subject, seed: int, budget: int, options: dict):
     return RandomFuzzer(subject, RandomConfig(seed=seed, max_executions=budget)).run()
 
 
-def _run_steelix(subject: Subject, seed: int, budget: int, durability: dict):
+def _run_steelix(subject: Subject, seed: int, budget: int, options: dict):
     return SteelixFuzzer(subject, SteelixConfig(seed=seed, max_executions=budget)).run()
 
 
-def _run_driller(subject: Subject, seed: int, budget: int, durability: dict):
+def _run_driller(subject: Subject, seed: int, budget: int, options: dict):
     return DrillerFuzzer(subject, DrillerConfig(seed=seed, max_executions=budget)).run()
 
 
@@ -130,21 +130,9 @@ def run_campaign(
     budget: int,
     seed: int = 0,
     *,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: bool = False,
     corpus_path: Optional[str] = None,
-    trace_path: Optional[str] = None,
-    executor: Optional[str] = None,
-    batch_size: Optional[int] = None,
-    executor_workers: Optional[int] = None,
-    cull_every: Optional[int] = None,
-    hybrid: bool = False,
-    mine_after: Optional[int] = None,
-    gen_batch: Optional[int] = None,
-    gen_depth: Optional[int] = None,
-    hunt_crashes: bool = False,
     subject_module: Optional[str] = None,
+    **options,
 ) -> ToolOutput:
     """Run ``tool`` on ``subject_name`` with an execution ``budget``.
 
@@ -153,75 +141,33 @@ def run_campaign(
         subject_name: a registered subject.
         budget: execution budget for the run.
         seed: PRNG seed.
-        checkpoint_dir: enable durable snapshots there (pFuzzer only; the
-            baselines ignore durability options — they have no resumable
-            state worth snapshotting and restart from scratch instead).
-        checkpoint_every: snapshot cadence in executions (pFuzzer only).
-        resume: restore the newest valid snapshot before fuzzing.
         corpus_path: append the run's valid inputs (with path signatures,
             when the tool reports them) to this
             :class:`~repro.eval.corpus_store.CorpusStore` file.
-        trace_path: write an NDJSON campaign trace there (pFuzzer only;
-            see :mod:`repro.obs.trace`).
-        executor: pFuzzer execution engine (``"inline"``/``"pooled"``;
-            see :mod:`repro.runtime.executor`).  None keeps the config
-            default.  Engine choice never changes the campaign result.
-        batch_size: speculative batch size for the pooled engine.
-        executor_workers: persistent worker count for the pooled engine.
-        cull_every: queue-hygiene cadence in executions (pFuzzer only;
-            see :attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — never changes the result.
-        hybrid: run the pFuzzer campaign in hybrid mine/generate mode
-            (see :mod:`repro.hybrid`).  Unlike the environmental knobs
-            above this changes the campaign result and participates in
-            the snapshot fingerprint.
-        mine_after: hybrid gain-evidence/inter-phase floor (pFuzzer
-            default when None).
-        gen_batch: hybrid generated candidates per flood (pFuzzer
-            default when None).
-        gen_depth: hybrid compiled-generator flood depth budget (pFuzzer
-            default when None).
-        hunt_crashes: record crashing inputs as campaign findings
-            (pFuzzer only; see
-            :attr:`repro.core.config.FuzzerConfig.hunt_crashes`).  Like
-            ``hybrid`` this changes the result and participates in the
-            snapshot fingerprint.
         subject_module: import this module before resolving
             ``subject_name``, so plugin subjects registered via
             :func:`repro.subjects.registry.register_subject` at import
             time are available (the ``--subject-module`` CLI flag).
+        options: :class:`~repro.core.config.FuzzerConfig` fields for a
+            pFuzzer campaign (``checkpoint_dir``, ``resume``,
+            ``trace_path``, ``executor``, ...), except ``seed`` and
+            ``max_executions``, which come from ``seed`` and ``budget``.
+            The baselines ignore them: they have no resumable state worth
+            snapshotting and restart from scratch instead.
+
+    Raises:
+        ValueError: an unknown tool or subject, or an option that is not
+            a field, is set here, or fails its check (see
+            :func:`repro.core.config.config_problems`).
     """
     if subject_module is not None:
         load_subject_module(subject_module)
     validate_campaign(tool, subject_name)
+    problems = config_problems(options, reserved=("seed", "max_executions"))
+    if problems:
+        raise ValueError("; ".join(problems))
     subject = load_subject(subject_name)
-    durability = {}
-    if checkpoint_dir is not None:
-        durability["checkpoint_dir"] = checkpoint_dir
-        durability["resume"] = resume
-        if checkpoint_every is not None:
-            durability["checkpoint_every"] = checkpoint_every
-    if trace_path is not None:
-        durability["trace_path"] = trace_path
-    if executor is not None:
-        durability["executor"] = executor
-    if batch_size is not None:
-        durability["batch_size"] = batch_size
-    if executor_workers is not None:
-        durability["executor_workers"] = executor_workers
-    if cull_every is not None:
-        durability["cull_every"] = cull_every
-    if hybrid:
-        durability["hybrid"] = True
-        if mine_after is not None:
-            durability["mine_after"] = mine_after
-        if gen_batch is not None:
-            durability["gen_batch"] = gen_batch
-        if gen_depth is not None:
-            durability["gen_depth"] = gen_depth
-    if hunt_crashes:
-        durability["hunt_crashes"] = True
-    outcome = _RUNNERS[tool](subject, seed, budget, durability)
+    outcome = _RUNNERS[tool](subject, seed, budget, options)
     output = ToolOutput(
         tool=tool,
         subject=subject_name,

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.config import config_problems
 from repro.eval.campaign import ToolOutput, run_campaign, validate_campaign
 from repro.eval.metrics import CampaignMetrics, write_jsonl
 from repro.runtime.limits import RunTimeout, peak_rss_bytes, time_limit
@@ -146,11 +147,15 @@ def _worker_main(
     results,
     timeout: Optional[float],
     fail_on: Optional[Dict[FaultKey, str]],
-    durability: Optional[Dict[str, object]],
-    trace_dir: Optional[str] = None,
-    engine: Optional[Dict[str, object]] = None,
+    checkpoint_root: Optional[str],
+    trace_dir: Optional[str],
+    options: Dict[str, object],
 ) -> None:
     """Worker loop: take (task_id, spec, attempt) tasks until sentinel.
+
+    ``options`` are :func:`~repro.eval.campaign.run_campaign` keywords
+    shared by every cell; the per-cell snapshot directory and trace file
+    are added here.
 
     ``inbox``/``results`` are :class:`multiprocessing.connection.Connection`
     ends of per-worker pipes, not shared queues: sends complete synchronously
@@ -177,27 +182,20 @@ def _worker_main(
             return
         task_id, (tool, subject, budget, seed), attempt = item
         started = time.monotonic()
-        campaign_options: Dict[str, object] = {}
-        if durability is not None:
+        campaign_options = dict(options)
+        if checkpoint_root is not None:
             campaign_options["checkpoint_dir"] = _cell_checkpoint_dir(
-                str(durability["root"]), tool, subject, seed
+                checkpoint_root, tool, subject, seed
             )
             # Every attempt resumes: the first finds no snapshot and starts
             # fresh; retries continue from where the previous attempt died.
             campaign_options["resume"] = True
-            if durability.get("every") is not None:
-                campaign_options["checkpoint_every"] = durability["every"]
         if trace_dir is not None:
             # Append-mode NDJSON: a retried attempt continues the same file,
             # with its "resumed" event marking the seam.
             campaign_options["trace_path"] = os.path.join(
                 trace_dir, f"{tool}-{subject}-s{seed}.ndjson"
             )
-        if engine:
-            # Execution-engine knobs (executor/batch_size/executor_workers)
-            # are environmental, like trace_path: they never change a cell's
-            # result, only how fast it runs.
-            campaign_options.update(engine)
         try:
             with time_limit(timeout):
                 import repro.core.fuzzer as fuzzer_module
@@ -382,10 +380,10 @@ class _GridExecutor:
         watchdog_grace: float,
         progress: Optional[Callable[[RunRecord], None]],
         fail_on: Optional[Dict[FaultKey, str]],
-        durability: Optional[Dict[str, object]] = None,
-        resume_retries: int = 0,
-        trace_dir: Optional[str] = None,
-        engine: Optional[Dict[str, object]] = None,
+        checkpoint_root: Optional[str],
+        resume_retries: int,
+        trace_dir: Optional[str],
+        options: Dict[str, object],
     ) -> None:
         self.specs = list(specs)
         self.jobs = jobs
@@ -395,10 +393,11 @@ class _GridExecutor:
         self.watchdog_grace = watchdog_grace
         self.progress = progress
         self.fail_on = dict(fail_on) if fail_on else None
-        self.durability = durability
+        self.checkpoint_root = checkpoint_root
         self.resume_retries = resume_retries
         self.pool = WorkerPool(
-            _worker_main, (timeout, self.fail_on, durability, trace_dir, engine)
+            _worker_main,
+            (timeout, self.fail_on, checkpoint_root, trace_dir, options),
         )
         self.records: List[Optional[RunRecord]] = [None] * len(self.specs)
         self.pending = deque(
@@ -425,7 +424,7 @@ class _GridExecutor:
         previous attempt's snapshot, so the 0-based ``attempt`` index *is*
         the resume count.  Without durability nothing ever resumed.
         """
-        return attempt if self.durability is not None else 0
+        return attempt if self.checkpoint_root is not None else 0
 
     def _retry_or_fail(
         self, task_id: int, attempt: int, error: str, wall: float
@@ -466,7 +465,7 @@ class _GridExecutor:
         """
         if self.records[task_id] is not None:  # pragma: no cover - raced twice
             return
-        if self.durability is not None and attempt < self.resume_retries:
+        if self.checkpoint_root is not None and attempt < self.resume_retries:
             delay = self.backoff * (2**attempt)
             heapq.heappush(
                 self.retry_heap, (time.monotonic() + delay, task_id, attempt + 1)
@@ -617,16 +616,9 @@ def run_grid(
     resume_retries: int = 2,
     corpus_path: Optional[Union[str, "os.PathLike[str]"]] = None,
     trace_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-    executor: Optional[str] = None,
-    batch_size: Optional[int] = None,
-    cull_every: Optional[int] = None,
-    hybrid: bool = False,
-    mine_after: Optional[int] = None,
-    gen_batch: Optional[int] = None,
-    gen_depth: Optional[int] = None,
-    hunt_crashes: bool = False,
     subject_module: Optional[str] = None,
     _test_fail_on: Optional[Mapping[FaultKey, str]] = None,
+    **options,
 ) -> List[RunRecord]:
     """Execute every spec across a worker pool; records come back in order.
 
@@ -657,35 +649,24 @@ def run_grid(
         trace_dir: write each cell's NDJSON campaign trace to
             ``<tool>-<subject>-s<seed>.ndjson`` below this directory
             (pFuzzer cells only; created if missing).
-        executor: execution engine for pFuzzer cells (``"inline"`` or
-            ``"pooled"``; see :mod:`repro.runtime.executor`).  Purely a
-            throughput knob — cell results are engine-independent.
-        batch_size: speculative batch size for the pooled engine.
-        cull_every: queue-hygiene cadence in executions for pFuzzer cells
-            (:attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — cell results are
-            cull-independent, which the cull equivalence suite asserts.
-        hybrid: run pFuzzer cells in hybrid mine/generate mode (see
-            :mod:`repro.hybrid`).  Not environmental: it changes cell
-            results and participates in each cell's snapshot
-            fingerprint, so retries/resumes must (and do) keep it.
-        mine_after: hybrid gain-evidence/inter-phase floor.
-        gen_batch: hybrid generated candidates per flood.
-        gen_depth: hybrid compiled-generator flood depth budget.
-        hunt_crashes: run pFuzzer cells in crash-hunting mode (see
-            :attr:`repro.core.config.FuzzerConfig.hunt_crashes`).  Like
-            ``hybrid``, not environmental: it changes cell results and
-            participates in snapshot fingerprints, so retries keep it.
         subject_module: import this module (registering its plugin
             subjects) before validation, and again inside every worker
             before the cell runs — workers may be spawned rather than
             forked, so the parent's import does not always carry over.
         _test_fail_on: fault-injection hook for the test suite; see the
             module docstring.
+        options: :class:`~repro.core.config.FuzzerConfig` fields for every
+            pFuzzer cell (``executor``, ``coverage_backend``, ...).  Every
+            retry of a cell runs with the same options, so the fields a
+            snapshot fingerprints always match on resume.  ``seed`` and
+            ``max_executions`` come from each spec, and ``checkpoint_dir``,
+            ``resume`` and ``trace_path`` from the grid.
 
     Raises:
-        ValueError: any spec names an unknown tool or subject (checked up
-            front, before any worker starts).
+        ValueError: any spec names an unknown tool or subject, or an option
+            is not a field, is set by the grid, or fails its check (see
+            :func:`repro.core.config.config_problems`); checked up front,
+            before any worker starts.
     """
     if subject_module is not None:
         from repro.subjects.registry import load_subject_module
@@ -696,6 +677,14 @@ def run_grid(
     ]
     for spec in specs:
         validate_campaign(spec.tool, spec.subject)
+    problems = config_problems(
+        options,
+        reserved=(
+            "seed", "max_executions", "checkpoint_dir", "resume", "trace_path"
+        ),
+    )
+    if problems:
+        raise ValueError("; ".join(problems))
     if metrics_path is not None:
         from pathlib import Path
 
@@ -709,51 +698,21 @@ def run_grid(
         if metrics_path is not None:
             write_jsonl(metrics_path, [])
         return []
-    durability: Optional[Dict[str, object]] = None
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        durability = {"root": str(checkpoint_dir), "every": checkpoint_every}
+        checkpoint_dir = str(checkpoint_dir)
+        if checkpoint_every is not None:
+            options["checkpoint_every"] = checkpoint_every
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         trace_dir = str(trace_dir)
-    engine: Optional[Dict[str, object]] = None
-    if executor is not None or batch_size is not None or cull_every is not None:
-        # Environmental knobs, shipped to workers as extra campaign
-        # options: engine choice and cull cadence change how a cell runs,
-        # never what it produces.
-        engine = {}
-        if executor is not None:
-            engine["executor"] = executor
-        if batch_size is not None:
-            engine["batch_size"] = batch_size
-        if cull_every is not None:
-            engine["cull_every"] = cull_every
-    if hybrid:
-        # Rides in the same per-worker options dict as the engine knobs,
-        # but is campaign state, not environment: a hybrid cell's
-        # checkpoints fingerprint the hybrid config, so every retry of
-        # the cell runs with the same options (they come from here).
-        engine = dict(engine or {})
-        engine["hybrid"] = True
-        if mine_after is not None:
-            engine["mine_after"] = mine_after
-        if gen_batch is not None:
-            engine["gen_batch"] = gen_batch
-        if gen_depth is not None:
-            engine["gen_depth"] = gen_depth
-    if hunt_crashes:
-        # Same discipline as hybrid: hunting is campaign state and every
-        # retry of a cell must keep it (checkpoints fingerprint it).
-        engine = dict(engine or {})
-        engine["hunt_crashes"] = True
     if subject_module is not None:
         # run_campaign re-imports the module inside the worker, covering
         # spawn-start platforms where the parent's import is not inherited.
-        engine = dict(engine or {})
-        engine["subject_module"] = subject_module
+        options["subject_module"] = subject_module
     effective_jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
     effective_jobs = min(effective_jobs, len(specs))
-    executor = _GridExecutor(
+    grid = _GridExecutor(
         specs,
         effective_jobs,
         timeout,
@@ -762,12 +721,12 @@ def run_grid(
         watchdog_grace,
         progress,
         dict(_test_fail_on) if _test_fail_on else None,
-        durability,
+        checkpoint_dir,
         resume_retries,
         trace_dir,
-        engine,
+        options,
     )
-    records = executor.run()
+    records = grid.run()
     if metrics_path is not None:
         write_jsonl(metrics_path, [record.metrics for record in records])
     if corpus_path is not None:
@@ -778,53 +737,6 @@ def run_grid(
             if record.output is not None:
                 store.add_output(record.output)
     return records
-
-
-# --------------------------------------------------------------------- #
-# Sharded campaigns (see repro.eval.shards)
-# --------------------------------------------------------------------- #
-
-
-def run_sharded_campaign(
-    subject: str,
-    budget: int,
-    shards: int = 2,
-    *,
-    base_seed: int = 0,
-    slice_executions: int = 200,
-    sync_every: Optional[int] = None,
-    checkpoint_every: int = 100,
-    shard_rotate_every: int = 200,
-    coverage_backend: str = "settrace",
-    root: Union[str, "os.PathLike[str]", None] = None,
-):
-    """Grid-level entry point for a sharded campaign group.
-
-    Builds a :class:`~repro.eval.shards.ShardPlan` and runs it through
-    :func:`~repro.eval.shards.run_sharded`: ``shards`` shard-aware
-    pFuzzer campaigns on one subject, exchanging valid inputs through a
-    shared corpus store under ``root`` (a temporary directory when None
-    — pass a real one to make the group resumable).  Returns the
-    :class:`~repro.eval.shards.ShardGroupResult`.
-    """
-    import tempfile
-
-    from repro.eval.shards import ShardPlan, run_sharded
-
-    plan = ShardPlan(
-        subject=subject,
-        budget=budget,
-        shards=shards,
-        base_seed=base_seed,
-        slice_executions=slice_executions,
-        sync_every=sync_every,
-        checkpoint_every=checkpoint_every,
-        shard_rotate_every=shard_rotate_every,
-        coverage_backend=coverage_backend,
-    )
-    if root is None:
-        root = tempfile.mkdtemp(prefix="repro-shards-")
-    return run_sharded(plan, root)
 
 
 # --------------------------------------------------------------------- #

@@ -112,10 +112,10 @@ class ShardGroupResult:
 
 
 def shard_config(plan: ShardPlan, shard_id: int, root: PathLike):
-    """The :class:`~repro.core.config.FuzzerConfig` of one shard.
+    """The :class:`~repro.core.config.FuzzerConfig` of one shard here.
 
-    Shared between this orchestrator and the service scheduler so both
-    run byte-identical shard campaigns for the same plan.
+    The service scheduler builds its own from the job spec, where an unset
+    ``sync_every`` means the checkpoint cadence, not ``slice_executions``.
     """
     from repro.core.config import FuzzerConfig
 

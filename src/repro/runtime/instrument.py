@@ -815,17 +815,6 @@ class _RewriteImports(ast.NodeTransformer):
         return replacements
 
 
-class InstrumentedSubject:
-    """A subject clone whose modules carry compiled-in coverage hooks."""
-
-    __slots__ = ("subject", "collector", "modules")
-
-    def __init__(self, subject, collector: Collector, modules) -> None:
-        self.subject = subject
-        self.collector = collector
-        self.modules = modules
-
-
 def _clone_source(module: types.ModuleType) -> Tuple[str, ast.Module]:
     filename = inspect.getsourcefile(module) or module.__file__
     with open(filename, "r", encoding="utf-8") as handle:

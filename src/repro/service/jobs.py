@@ -36,12 +36,11 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
+from repro.core.config import SWITCHES, FuzzerConfig, config_problems
 from repro.eval.campaign import validate_campaign
 from repro.eval.checkpoint import atomic_write_text
-from repro.runtime.executor import EXECUTOR_MODES
-from repro.runtime.harness import COVERAGE_BACKENDS
 
 PathLike = Union[str, Path]
 
@@ -102,9 +101,6 @@ class JobSpec:
         seed: PRNG seed.
         priority: fair-share weight (>= 1); a priority-2 job receives
             twice the executions of a priority-1 job under contention.
-        coverage_backend: ``"settrace"`` or ``"ast"``.
-        checkpoint_every: snapshot cadence in executions (pFuzzer default
-            when None); slice boundaries always snapshot regardless.
         trace: record a structured NDJSON campaign trace (pFuzzer only) to
             ``trace.ndjson`` in the job's state directory; slices append to
             it, so the file spans the whole campaign across preemptions.
@@ -116,32 +112,14 @@ class JobSpec:
             group expansion, never set by clients.
         shard_group: the group id shared by all members; assigned by the
             service on group expansion.
-        sync_every: corpus-sync cadence in executions for sharded jobs
-            (pFuzzer default — the checkpoint cadence — when None).
-        executor: pFuzzer execution engine (``"inline"`` or ``"pooled"``;
-            see :mod:`repro.runtime.executor`).  Environmental like
-            ``trace`` — the job's result is engine-independent.
-        batch_size: speculative batch size for the pooled engine.
-        cull_every: queue-hygiene cadence in executions (pFuzzer only;
-            see :attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — culling never changes the
-            job's result fingerprint.  None disables culling.
-        hybrid: run the job as a hybrid mine/generate campaign (pFuzzer
-            only; see :mod:`repro.hybrid`).  *Not* environmental: hybrid
-            mode changes the job's result, participates in the campaign
-            snapshot fingerprint, and must stay fixed across the job's
-            slices — which it does, because specs are immutable.
-        mine_after: hybrid gain-evidence/inter-phase floor (pFuzzer
-            default when None).
-        gen_batch: hybrid generated candidates per flood (pFuzzer
-            default when None).
-        gen_depth: hybrid compiled-generator flood depth budget (pFuzzer
-            default when None).
-        hunt_crashes: run the job in crash-hunting mode (pFuzzer only;
-            see :attr:`repro.core.config.FuzzerConfig.hunt_crashes`).
-            Like ``hybrid``, not environmental: it changes the result
-            and participates in the snapshot fingerprint, so it must —
-            and, being spec-immutable, does — stay fixed across slices.
+        coverage_backend, checkpoint_every, sync_every, executor,
+            batch_size, cull_every, hybrid, mine_after, gen_batch,
+            gen_depth, hunt_crashes: the
+            :class:`~repro.core.config.FuzzerConfig` fields of the same
+            name (pFuzzer jobs only; None is the fuzzer's default).
+            Slice boundaries always snapshot, whatever
+            ``checkpoint_every`` says, and fingerprinted knobs stay fixed
+            across the job's slices because specs are immutable.
         subject_module: module imported (registering its plugin
             subjects via :func:`repro.subjects.registry.register_subject`)
             before the subject name is resolved — in every worker, since
@@ -171,7 +149,12 @@ class JobSpec:
     subject_module: Optional[str] = None
 
     def validate(self) -> None:
-        """Raises :class:`JobError` naming every invalid field."""
+        """Raises :class:`JobError` naming every invalid field.
+
+        The service's own fields are checked here; the campaign knobs by
+        :func:`repro.core.config.config_problems`, on the options
+        :func:`fuzzer_options` forwards to every slice.
+        """
         problems: List[str] = []
         if self.subject_module is not None and (
             not isinstance(self.subject_module, str) or not self.subject_module
@@ -205,18 +188,6 @@ class JobSpec:
             problems.append(
                 f"priority must be a positive integer, got {self.priority!r}"
             )
-        if self.coverage_backend not in COVERAGE_BACKENDS:
-            problems.append(
-                f"unknown coverage backend {self.coverage_backend!r}; "
-                f"valid backends: {', '.join(COVERAGE_BACKENDS)}"
-            )
-        if self.checkpoint_every is not None and (
-            not isinstance(self.checkpoint_every, int) or self.checkpoint_every < 1
-        ):
-            problems.append(
-                "checkpoint_every must be a positive integer, "
-                f"got {self.checkpoint_every!r}"
-            )
         if not isinstance(self.trace, bool):
             problems.append(f"trace must be a boolean, got {self.trace!r}")
         if not isinstance(self.shards, int) or self.shards < 1:
@@ -227,16 +198,8 @@ class JobSpec:
             problems.append(
                 f"sharding requires the pfuzzer tool, got {self.tool!r}"
             )
-        if self.shard_id is not None:
-            if not isinstance(self.shard_id, int) or not (
-                isinstance(self.shards, int)
-                and 0 <= self.shard_id < self.shards
-            ):
-                problems.append(
-                    f"shard_id {self.shard_id!r} outside 0..shards-1"
-                )
-            if self.shard_group is None:
-                problems.append("shard_id requires a shard_group")
+        if self.shard_id is not None and self.shard_group is None:
+            problems.append("shard_id requires a shard_group")
         if self.shard_group is not None:
             if not isinstance(self.shard_group, str) or not self.shard_group:
                 problems.append(
@@ -245,53 +208,13 @@ class JobSpec:
                 )
             if self.shard_id is None:
                 problems.append("shard_group requires a shard_id")
-        if self.sync_every is not None and (
-            not isinstance(self.sync_every, int) or self.sync_every < 1
-        ):
-            problems.append(
-                f"sync_every must be a positive integer, got {self.sync_every!r}"
-            )
-        if self.executor not in EXECUTOR_MODES:
-            problems.append(
-                f"unknown executor {self.executor!r}; "
-                f"valid executors: {', '.join(EXECUTOR_MODES)}"
-            )
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            problems.append(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
-        if self.cull_every is not None and (
-            not isinstance(self.cull_every, int) or self.cull_every < 1
-        ):
-            problems.append(
-                f"cull_every must be a positive integer, got {self.cull_every!r}"
-            )
-        if not isinstance(self.hybrid, bool):
-            problems.append(f"hybrid must be a boolean, got {self.hybrid!r}")
-        elif self.hybrid and self.tool != "pfuzzer":
-            problems.append(
-                f"hybrid mode requires the pfuzzer tool, got {self.tool!r}"
-            )
-        for name, value in (
-            ("mine_after", self.mine_after),
-            ("gen_batch", self.gen_batch),
-            ("gen_depth", self.gen_depth),
-        ):
-            if value is None:
-                continue
-            if not isinstance(value, int) or value < 1:
-                problems.append(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-            elif not self.hybrid:
-                problems.append(f"{name} requires hybrid mode")
-        if not isinstance(self.hunt_crashes, bool):
-            problems.append(
-                f"hunt_crashes must be a boolean, got {self.hunt_crashes!r}"
-            )
-        elif self.hunt_crashes and self.tool != "pfuzzer":
-            problems.append(
-                f"crash hunting requires the pfuzzer tool, got {self.tool!r}"
+        options = fuzzer_options(self.to_dict())
+        problems.extend(config_problems(options))
+        if self.tool != "pfuzzer":
+            problems.extend(
+                f"{name} requires the pfuzzer tool, got {self.tool!r}"
+                for name in SWITCHES
+                if options.get(name)
             )
         if problems:
             raise JobError("; ".join(problems))
@@ -316,6 +239,37 @@ class JobSpec:
         if "subject" not in record:
             raise JobError("job spec is missing the required 'subject' field")
         return cls(**record)
+
+
+#: The :class:`~repro.core.config.FuzzerConfig` fields a spec can set.
+_CONFIG_FIELDS = frozenset(FuzzerConfig.__dataclass_fields__) - {"seed"}
+#: Spec fields whose None means "the fuzzer's default".
+_DEFAULTED = frozenset(
+    name
+    for name, spec_field in JobSpec.__dataclass_fields__.items()
+    if spec_field.default is None
+)
+
+
+def fuzzer_options(spec: Mapping) -> Dict[str, object]:
+    """The :class:`~repro.core.config.FuzzerConfig` options of a job spec's
+    dict — or of a scheduler task, which adds ``checkpoint_dir`` and
+    ``sync_store`` to it.
+
+    ``seed`` and ``budget`` (``max_executions``) are the job's own fields,
+    which every slice sets itself.  A None in a field that defaults to None
+    is left out, so the fuzzer's default applies; a None anywhere else is
+    kept, and the options check rejects it.  ``shards`` becomes
+    ``shard_count`` for members of a shard group only.
+    """
+    options = {
+        name: value
+        for name, value in spec.items()
+        if name in _CONFIG_FIELDS and not (value is None and name in _DEFAULTED)
+    }
+    if spec.get("shard_id") is not None:
+        options["shard_count"] = spec["shards"]
+    return options
 
 
 @dataclass

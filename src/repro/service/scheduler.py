@@ -68,6 +68,7 @@ from repro.service.jobs import (
     JobRecord,
     JobState,
     JobStore,
+    fuzzer_options,
 )
 
 
@@ -149,44 +150,13 @@ def _run_slice(task: dict) -> SliceResult:
             # the module itself before the name resolves.
             load_subject_module(task["subject_module"])
         subject = load_subject(task["subject"])
-        durability = {}
-        if task["checkpoint_every"] is not None:
-            durability["checkpoint_every"] = task["checkpoint_every"]
-        if task.get("shard_id") is not None:
-            # Member of a sharded group: partition the candidate space and
-            # sync through the group's shared corpus store.
-            durability["shard_id"] = task["shard_id"]
-            durability["shard_count"] = task["shard_count"]
-            durability["sync_store"] = task["sync_store"]
-            durability["sync_every"] = task["sync_every"]
-        if task.get("executor"):
-            durability["executor"] = task["executor"]
-            durability["batch_size"] = task.get("batch_size") or 1
-        if task.get("cull_every") is not None:
-            durability["cull_every"] = task["cull_every"]
-        if task.get("hybrid"):
-            # Hybrid mode is fingerprinted campaign state, not an
-            # environmental knob: every slice of the job must run with
-            # the same hybrid config or the checkpoint restore rejects
-            # the snapshot — which is exactly the protection wanted.
-            durability["hybrid"] = True
-            if task.get("mine_after") is not None:
-                durability["mine_after"] = task["mine_after"]
-            if task.get("gen_batch") is not None:
-                durability["gen_batch"] = task["gen_batch"]
-            if task.get("gen_depth") is not None:
-                durability["gen_depth"] = task["gen_depth"]
-        if task.get("hunt_crashes"):
-            # Like hybrid: fingerprinted campaign state, so every slice
-            # of the job runs with hunting on (the spec is immutable).
-            durability["hunt_crashes"] = True
+        # Specs are immutable, so every slice of a job runs with the same
+        # fingerprinted options and its snapshots keep restoring.
         config = FuzzerConfig(
             seed=task["seed"],
             max_executions=task["budget"],
-            coverage_backend=task["coverage_backend"],
-            checkpoint_dir=task["checkpoint_dir"],
             resume=True,
-            **durability,
+            **fuzzer_options(task),
         )
         tracer = None
         if task.get("trace"):
@@ -633,46 +603,25 @@ class CampaignScheduler:
                 else None
             )
             self.assignments[worker_id] = (record.job_id, deadline)
+            # The task is the job's spec plus the keys the service owns.
             spec = record.spec
+            group = spec.shard_group
             self.pool.send(
                 worker_id,
-                {
-                    "job_id": record.job_id,
-                    "tool": spec.tool,
-                    "subject": spec.subject,
-                    "budget": spec.budget,
-                    "seed": spec.seed,
-                    "coverage_backend": spec.coverage_backend,
-                    "checkpoint_every": spec.checkpoint_every,
-                    "checkpoint_dir": _job_checkpoint_dir(
+                dict(
+                    spec.to_dict(),
+                    job_id=record.job_id,
+                    checkpoint_dir=_job_checkpoint_dir(
                         self.state_dir, record.job_id
                     ),
-                    "slice_executions": self.config.slice_executions,
-                    "slice_timeout": self.config.slice_timeout,
-                    "trace": spec.trace,
-                    "shard_id": spec.shard_id,
-                    "shard_count": spec.shards,
-                    "sync_every": spec.sync_every,
-                    "executor": spec.executor,
-                    "batch_size": spec.batch_size,
-                    "cull_every": spec.cull_every,
-                    "hybrid": spec.hybrid,
-                    "mine_after": spec.mine_after,
-                    "gen_batch": spec.gen_batch,
-                    "gen_depth": spec.gen_depth,
-                    "hunt_crashes": spec.hunt_crashes,
-                    "subject_module": spec.subject_module,
-                    "sync_store": (
-                        str(
-                            self.state_dir
-                            / "groups"
-                            / spec.shard_group
-                            / "corpus.jsonl"
-                        )
-                        if spec.shard_group is not None
+                    slice_executions=self.config.slice_executions,
+                    slice_timeout=self.config.slice_timeout,
+                    sync_store=(
+                        str(self.state_dir / "groups" / group / "corpus.jsonl")
+                        if group is not None
                         else None
                     ),
-                },
+                ),
             )
 
     def _ensure_capacity(self) -> None:

@@ -3,7 +3,7 @@
 The cross-shard determinism harness lives in
 ``test_resume_equivalence.py``; this module covers the pieces it builds
 on: the ownership partition (disjoint, complete, rotating), shard
-config derivation, and the ``run_sharded_campaign`` convenience wrapper.
+config derivation, and one group run under a caller-chosen root.
 """
 
 import pytest
@@ -117,7 +117,7 @@ def test_shard_count_one_matches_unsharded_run(expr_subject):
 
 
 # --------------------------------------------------------------------- #
-# shard_config: one derivation for orchestrator and service
+# shard_config: the orchestrator's per-shard derivation
 # --------------------------------------------------------------------- #
 
 
@@ -141,16 +141,18 @@ def test_shard_config_honours_explicit_sync_every(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# run_sharded_campaign: the eval-layer entry point
+# run_sharded: one group under a caller-chosen root
 # --------------------------------------------------------------------- #
 
 
 def test_run_sharded_campaign_wrapper(tmp_path):
-    from repro.eval.parallel import run_sharded_campaign
+    from repro.eval.shards import run_sharded
 
-    result = run_sharded_campaign(
-        "expr", budget=300, shards=2, base_seed=5,
-        slice_executions=150, root=tmp_path / "group",
+    result = run_sharded(
+        ShardPlan(
+            "expr", budget=300, shards=2, base_seed=5, slice_executions=150
+        ),
+        tmp_path / "group",
     )
     assert len(result.shards) == 2
     assert [s.seed for s in result.shards] == [5, 6]
