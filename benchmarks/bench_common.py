@@ -84,11 +84,14 @@ def all_campaigns() -> Dict[Tuple[str, str], List[str]]:
 
 
 def git_rev() -> str:
-    """Short hash of the checked-out commit, or ``"unknown"``."""
+    """Short hash of the checked-out commit, with ``-dirty`` appended when
+    tracked files differ from it (the measured code is not that commit's),
+    or ``"unknown"``."""
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--abbrev=7",
+                 "--exclude", "*"],
                 cwd=REPO_ROOT,
                 check=True,
                 capture_output=True,

@@ -87,6 +87,20 @@ def _rate(subject, backend: str, seconds: float = 1.5) -> float:
     return runs / (time.perf_counter() - started)
 
 
+def _best_rates(subject, rounds: int = 5, seconds: float = 0.3) -> dict:
+    """Each backend's best rate over interleaved rounds.
+
+    A round times every backend once, back to back, so a slow stretch of
+    the host lands on both backends' windows instead of one; the best of
+    the rounds is the backend's own speed.
+    """
+    best = dict.fromkeys(COVERAGE_BACKENDS, 0.0)
+    for _ in range(rounds):
+        for backend in COVERAGE_BACKENDS:
+            best[backend] = max(best[backend], _rate(subject, backend, seconds))
+    return best
+
+
 @pytest.mark.parametrize("backend", COVERAGE_BACKENDS)
 def test_bench_backend_throughput(benchmark, backend):
     """Per-backend replay cost; executions/sec lands in the bench JSON."""
@@ -102,12 +116,11 @@ def test_bench_backend_throughput(benchmark, backend):
 
 
 def test_bench_ast_speedup_over_settrace(benchmark):
-    """The tentpole acceptance number: AST backend >= 3x settrace on json."""
+    """The tentpole acceptance number: AST backend >= 3x settrace on json,
+    each backend at its best over interleaved rounds (:func:`_best_rates`)."""
     subject = load_subject("json")
     rates = benchmark.pedantic(
-        lambda: {b: _rate(subject, b) for b in COVERAGE_BACKENDS},
-        rounds=1,
-        iterations=1,
+        lambda: _best_rates(subject), rounds=1, iterations=1
     )
     ratio = rates["ast"] / rates["settrace"]
     benchmark.extra_info["settrace_per_second"] = rates["settrace"]

@@ -642,6 +642,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     problems = config_problems(options)
     if args.resume and args.checkpoint_dir is None:
         problems.append("--resume requires --checkpoint-dir")
+    if (
+        args.shards <= 1
+        and args.checkpoint_every is not None
+        and args.checkpoint_dir is None
+    ):
+        # A sharded group snapshots into a temporary root by default; a
+        # single campaign without a directory would take no snapshot.
+        problems.append("--checkpoint-every requires --checkpoint-dir")
     unapplied = _unapplied_fuzz_flags(args, options)
     if unapplied and args.shards > 1:
         problems.append(f"--shards does not apply {', '.join(unapplied)}")

@@ -194,9 +194,17 @@ class PFuzzer:
         self._trace_on = self._trace.enabled
         self._lineage = LineageLog()
         self._rng = random.Random(self.config.seed)
-        #: Scratch copy of ``_rng`` that :meth:`_prefetch` draws ahead on
-        #: to predict append runs; never feeds the campaign itself.
+        #: Characters this object drew from ``_rng`` (snapshots omit it).
+        self._draws = 0
+        #: Copy of ``_rng`` that :meth:`_prefetch` draws ahead on to
+        #: predict append runs; never feeds the campaign itself.
+        #: ``_predicted`` holds its characters for the draws numbered
+        #: ``_predicted_from`` and up, all from the append pool of shard
+        #: epoch ``_predicted_epoch`` (None: resync from ``_rng`` first).
         self._predictor = random.Random()
+        self._predicted: List[str] = []
+        self._predicted_from = 0
+        self._predicted_epoch: Optional[int] = None
         self._valid_branches: Set[int] = set()
         #: Cached ``frozenset(vBr)``, grown *incrementally* (unioned with
         #: each emit's added arcs) — never rebuilt from scratch.
@@ -567,6 +575,7 @@ class PFuzzer:
         self._timer.stop("substitute", started)
 
     def _random_char(self) -> str:
+        self._draws += 1
         return self._rng.choice(self._append_pool())
 
     def _seed_candidate(self, text: str) -> Candidate:
@@ -773,11 +782,13 @@ class PFuzzer:
         self._timer.stop("rescore", started)
         injected = 0
         valid = 0
-        for text in engine.flood(
+        flood = engine.flood(
             self.config.gen_batch, self._seen, self.config.max_input_length
-        ):
+        )
+        for position, text in enumerate(flood):
             if not self._budget_left():
                 break
+            self._prefetch_window(flood, position)
             node = self._lineage.new_node(
                 None, "gen", text, replacement=text, cmp_kind=f"phase-{phase}"
             )
@@ -1030,6 +1041,7 @@ class PFuzzer:
         )
         rng_version, rng_internal, rng_gauss = payload["rng"]
         self._rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
+        self._predicted_epoch = None
         self._timer.totals = dict(payload["phase_times"])
         self._wall_consumed = payload["wall_time"]
         self._last_checkpoint = result.executions
@@ -1107,22 +1119,34 @@ class PFuzzer:
             return False
         return True
 
+    def _prefetch_window(self, texts: List[str], position: int) -> None:
+        """Known-ahead executions (seed replay, a generation flood): ship
+        the unseen ones among the ``batch_size`` texts from ``position``
+        in one round trip.  No-op on the inline engine."""
+        if self._executor is not None:
+            self._executor.prefetch(
+                [
+                    text
+                    for text in texts[position : position + self.config.batch_size]
+                    if text not in self._seen
+                ]
+            )
+
     def _prefetch(self, head: str) -> None:
         """Speculatively submit the next likely executions to the engine.
 
         ``head`` is the text about to execute.  With ``batch_size`` > 1 the
         same round-trip carries the head's append run and the queue's
         approximate next pops, each followed by its own append run, up to
-        ``batch_size`` texts.  An append run is predicted on a copy of the
-        campaign RNG: nothing draws from ``self._rng`` between a
-        candidate's execution and its append draw, so the copy's k-th
-        ``choice`` is the character the k-th upcoming append will draw,
-        unless an emit skips an append, the queue restarts, or a shard's
-        pool rotates first.  Pure overlap: results are cached by text and
-        consumed (with all bookkeeping) in :meth:`_execute`, and the
-        campaign RNG only advances at the real draw, so speculation —
-        right or wrong — never changes the campaign.  No-op on the inline
-        engine.
+        ``batch_size`` texts.  Nothing draws from ``self._rng`` between a
+        candidate's execution and its append draw, so the k-th upcoming
+        append draws the k-th next character, unless an emit skips an
+        append, the queue restarts, or a shard's pool rotates first.
+        Those characters come from :meth:`_predicted_chars`.  Pure
+        overlap: results are cached by text and consumed (with all
+        bookkeeping) in :meth:`_execute`, and the campaign RNG only
+        advances at the real draw, so speculation — right or wrong — never
+        changes the campaign.  No-op on the inline engine.
         """
         executor = self._executor
         if executor is None:
@@ -1138,21 +1162,49 @@ class PFuzzer:
             if text not in seen and text != head
         ]
         max_length = self.config.max_input_length
+        predicted = self._predicted_chars()
         pool = self._append_pool()
-        predictor = self._predictor
-        predictor.setstate(self._rng.getstate())
         texts: List[str] = []
+        appends = 0
         for text in upcoming:
             texts.append(text)
             if len(texts) >= batch_size:
                 break
             if len(text) < max_length:
-                extended = text + predictor.choice(pool)
+                if appends == len(predicted):
+                    predicted.append(self._predictor.choice(pool))
+                extended = text + predicted[appends]
+                appends += 1
                 if extended not in seen:
                     texts.append(extended)
                     if len(texts) >= batch_size:
                         break
         executor.prefetch(texts)
+
+    def _predicted_chars(self) -> List[str]:
+        """The cached characters of the next draws from ``self._rng``,
+        first the next one; :meth:`_prefetch` extends the list in place.
+
+        The predictor is a copy of the campaign RNG, so its characters are
+        the campaign's own as long as both draw from the same pool.  The
+        pool is a function of the shard epoch, so the cache is kept while
+        the epoch is the one it was filled in, dropping the characters
+        already drawn; the predictor is resynced from ``self._rng``
+        (a copy of its 625-word state) only after a :meth:`restore`, a
+        pool change, or when the campaign drew past the cache (queue
+        restarts).
+        """
+        epoch = self._shard_epoch() if self.config.shard_count > 1 else 0
+        predicted = self._predicted
+        drawn = self._draws - self._predicted_from
+        if epoch != self._predicted_epoch or drawn > len(predicted):
+            self._predictor.setstate(self._rng.getstate())
+            predicted.clear()
+            self._predicted_epoch = epoch
+        else:
+            del predicted[:drawn]
+        self._predicted_from = self._draws
+        return predicted
 
     def run(self) -> FuzzingResult:
         """Run the campaign until the execution budget is exhausted.
@@ -1216,18 +1268,7 @@ class PFuzzer:
         for position, text in enumerate(initial_inputs):
             if not self._budget_left() or text in self._seen:
                 continue
-            if self._executor is not None:
-                # Seed replay is a known-ahead batch: ship the next slice
-                # of unseen seeds in one round-trip.
-                self._executor.prefetch(
-                    [
-                        seed_text
-                        for seed_text in initial_inputs[
-                            position : position + self.config.batch_size
-                        ]
-                        if seed_text not in self._seen
-                    ]
-                )
+            self._prefetch_window(initial_inputs, position)
             seed = self._seed_candidate(text)
             seeded = self._execute(text, seed.lineage)
             if self._is_valid_new(seeded):

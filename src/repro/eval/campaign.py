@@ -9,14 +9,14 @@ a caller-supplied metric, mirroring the paper's "we report the best run".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.afl import AFLConfig, AFLFuzzer
 from repro.baselines.klee import KleeConfig, KleeExplorer
 from repro.baselines.rand import RandomConfig, RandomFuzzer
 from repro.baselines.driller import DrillerConfig, DrillerFuzzer
 from repro.baselines.steelix import SteelixConfig, SteelixFuzzer
-from repro.core.config import FuzzerConfig, config_problems
+from repro.core.config import SWITCHES, FuzzerConfig, config_problems
 from repro.core.fuzzer import PFuzzer
 from repro.subjects.base import Subject
 from repro.subjects.registry import (
@@ -124,6 +124,19 @@ def validate_campaign(tool: str, subject_name: str) -> None:
         raise ValueError("; ".join(problems))
 
 
+def switch_problems(tool: str, options: Mapping[str, object]) -> List[str]:
+    """The switches (:data:`repro.core.config.SWITCHES`) on in ``options``
+    that ``tool`` cannot honour: only pFuzzer has hybrid phases and crash
+    hunting."""
+    if tool == "pfuzzer":
+        return []
+    return [
+        f"{name} requires the pfuzzer tool, got {tool!r}"
+        for name in SWITCHES
+        if options.get(name)
+    ]
+
+
 def run_campaign(
     tool: str,
     subject_name: str,
@@ -153,17 +166,21 @@ def run_campaign(
             ``trace_path``, ``executor``, ...), except ``seed`` and
             ``max_executions``, which come from ``seed`` and ``budget``.
             The baselines ignore them: they have no resumable state worth
-            snapshotting and restart from scratch instead.
+            snapshotting and restart from scratch instead.  A switch
+            (``hybrid``, ``hunt_crashes``) is no such setting: it asks for
+            a mode the baselines lack, so a baseline rejects it.
 
     Raises:
-        ValueError: an unknown tool or subject, or an option that is not
+        ValueError: an unknown tool or subject, an option that is not
             a field, is set here, or fails its check (see
-            :func:`repro.core.config.config_problems`).
+            :func:`repro.core.config.config_problems`), or a switch set
+            for a tool other than pFuzzer (see :func:`switch_problems`).
     """
     if subject_module is not None:
         load_subject_module(subject_module)
     validate_campaign(tool, subject_name)
     problems = config_problems(options, reserved=("seed", "max_executions"))
+    problems.extend(switch_problems(tool, options))
     if problems:
         raise ValueError("; ".join(problems))
     subject = load_subject(subject_name)

@@ -58,7 +58,12 @@ from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import config_problems
-from repro.eval.campaign import ToolOutput, run_campaign, validate_campaign
+from repro.eval.campaign import (
+    ToolOutput,
+    run_campaign,
+    switch_problems,
+    validate_campaign,
+)
 from repro.eval.metrics import CampaignMetrics, write_jsonl
 from repro.runtime.limits import RunTimeout, peak_rss_bytes, time_limit
 
@@ -663,9 +668,11 @@ def run_grid(
             ``resume`` and ``trace_path`` from the grid.
 
     Raises:
-        ValueError: any spec names an unknown tool or subject, or an option
+        ValueError: any spec names an unknown tool or subject, an option
             is not a field, is set by the grid, or fails its check (see
-            :func:`repro.core.config.config_problems`); checked up front,
+            :func:`repro.core.config.config_problems`), or a switch is set
+            while a spec names a tool other than pFuzzer (see
+            :func:`repro.eval.campaign.switch_problems`); checked up front,
             before any worker starts.
     """
     if subject_module is not None:
@@ -683,6 +690,8 @@ def run_grid(
             "seed", "max_executions", "checkpoint_dir", "resume", "trace_path"
         ),
     )
+    for tool in dict.fromkeys(spec.tool for spec in specs):
+        problems.extend(switch_problems(tool, options))
     if problems:
         raise ValueError("; ".join(problems))
     if metrics_path is not None:

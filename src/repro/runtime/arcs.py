@@ -51,6 +51,10 @@ class ArcTable:
         """Decode an interned id back to the original arc tuple."""
         return self._arcs[arc_id]
 
+    def arcs_since(self, arc_id: int) -> List[tuple]:
+        """The arcs interned with ids ``arc_id`` and up, in id order."""
+        return self._arcs[arc_id:]
+
     def decode(self, arc_ids: Iterable[int]) -> FrozenSet[tuple]:
         """Decode a set of interned ids to the original arc tuples."""
         arcs = self._arcs

@@ -16,13 +16,31 @@ discarding any state the run mutated), with a same-process fallback
 pure-Python parsers whose per-run state is reset by the harness, so the
 fallback is equivalence-tested, not best-effort.
 
-Wire format: interned arc ids are process-local, so results cross the
-pipe *decoded* — ``(status, error, [(arc_tuple, clock), ...],
-comparisons, eof_events, crash_signature)`` — and
-:func:`rehydrate_run_result` re-interns them through the parent's arc
-table.
-Comparison/EOF events are plain NamedTuples of primitives and pickle
-as-is.  Two :class:`RunResult` fields do not cross the pipe: ``value``
+Wire format: a result crosses the pipe as one tuple of primitives,
+``(status, error, arcs, announced_from, announced, comparisons,
+eof_events, crash_signature)``, so pickling it calls no Python-level
+constructor on either side (:func:`serialize_run_result` /
+:func:`rehydrate_run_result`):
+
+* ``status`` is the :class:`ExitStatus` value.  ``comparisons`` is the
+  event list transposed, one tuple per field, with the kinds as their
+  :class:`ComparisonKind` values; ``eof_events`` are plain tuples.  The
+  parent rebuilds the NamedTuples when something first reads them.
+* ``arcs`` maps the *worker's* arc ids to first-traversal clocks.  Ids are
+  process-local, so a message also carries the decoded tuple of every
+  arc the worker interned since its previous message (``announced``,
+  the first of them with id ``announced_from``), and the parent keeps
+  one :class:`ArcTranslation` per worker.  A fork-context worker starts
+  with the table the parent had at the fork, so its translation starts
+  as the identity over those ``shared`` arcs; a spawned worker shares
+  none.  While a translation is the identity throughout (the parent
+  interned nothing of its own since the fork), the received dict is
+  used as it is.  A fork-isolated run's new arcs die with its child, so
+  the next child announces them again from the same id, and the parent
+  replaces that tail of the translation.  A respawned worker starts a
+  fresh translation.
+
+Two :class:`RunResult` fields do not cross the pipe: ``value``
 (the subject's parse result — unused by the fuzzing loop) and
 ``Recorder.accesses`` (consumed only by the grammar miner, which runs
 its own executions).  Unexpected subject exceptions are CRASH *results*
@@ -48,12 +66,16 @@ from __future__ import annotations
 
 import os
 import signal
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from itertools import repeat
 from multiprocessing import connection, get_context
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from pickle import HIGHEST_PROTOCOL, dumps
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.runtime.arcs import arc_table_for
 from repro.runtime.harness import ExitStatus, RunResult, run_subject
+from repro.taint.events import ComparisonEvent, ComparisonKind, EOFEvent
 from repro.taint.recorder import Recorder
 
 #: Executor modes accepted by ``FuzzerConfig.executor``.
@@ -94,53 +116,153 @@ def _resolve_isolation(isolation: str) -> str:
 # --------------------------------------------------------------------- #
 
 
-def serialize_run_result(result: RunResult) -> tuple:
-    """Flatten a :class:`RunResult` into the pickle-safe wire tuple.
+#: Enum members by the value that crosses the pipe.
+_STATUSES = {status.value: status for status in ExitStatus}
+_KINDS = {kind.value: kind for kind in ComparisonKind}
+_value = attrgetter("_value_")
+_new_tuple = tuple.__new__
 
-    Arc ids are decoded through the result's own table so the receiving
-    process can re-intern them into *its* table (ids are process-local;
-    the decoded tuples are the stable identity).
+
+class ArcTranslation:
+    """One worker's arc ids in the parent's table.
+
+    ``ids[k]`` is the parent's id of the worker's arc ``k``, and
+    ``identical`` counts the leading entries where the two are equal.
+    """
+
+    __slots__ = ("ids", "identical")
+
+    def __init__(self, shared: int = 0) -> None:
+        self.ids: List[int] = list(range(shared))
+        self.identical = shared
+
+    def learn(self, start: int, arcs: Sequence[tuple], intern) -> None:
+        """Map the worker's ids ``start, start + 1, ...`` to ``arcs``,
+        replacing whatever an earlier message announced from ``start``."""
+        ids = self.ids
+        if start > len(ids):
+            raise ExecutorError(
+                f"worker announced arcs from id {start}, "
+                f"but only {len(ids)} are known"
+            )
+        del ids[start:]
+        identical = min(self.identical, start)
+        for arc in arcs:
+            parent_id = intern(arc)
+            if parent_id == identical == len(ids):
+                identical += 1
+            ids.append(parent_id)
+        self.identical = identical
+
+    def translate(self, arcs: Dict[int, int]) -> Dict[int, int]:
+        """``arcs`` keyed by the parent's ids (the dict itself while the
+        translation is the identity)."""
+        ids = self.ids
+        if self.identical == len(ids):
+            return arcs
+        return {ids[arc]: clock for arc, clock in arcs.items()}
+
+
+class _ReceivedRecorder(Recorder):
+    """A worker's :class:`Recorder` as the parent receives it.
+
+    Its events stay in their wire form until something reads them:
+    Algorithm 1 reads none of a run that it extends with an append run.
+    The NamedTuples are then rebuilt with ``zip`` and ``tuple.__new__``,
+    C loops end to end.
+    """
+
+    def __init__(self, comparisons: list, eof_events: list) -> None:
+        super().__init__()
+        # Unset, so that the first read of each reaches __getattr__.
+        del self.comparisons, self.eof_events
+        self._wire = (comparisons, eof_events)
+
+    def __getattr__(self, name: str):
+        if name == "comparisons":
+            events = []
+            if self._wire[0]:
+                kinds, *fields = self._wire[0]
+                events = list(
+                    map(
+                        _new_tuple,
+                        repeat(ComparisonEvent),
+                        zip(map(_KINDS.__getitem__, kinds), *fields),
+                    )
+                )
+        elif name == "eof_events":
+            events = list(map(_new_tuple, repeat(EOFEvent), self._wire[1]))
+        else:
+            raise AttributeError(name)
+        setattr(self, name, events)
+        return events
+
+
+def serialize_run_result(result: RunResult, announced: int = 0) -> tuple:
+    """Flatten a :class:`RunResult` into the primitive wire tuple.
+
+    ``announced`` counts the arcs of the result's table the receiver
+    already knows; every later one travels decoded.  With the default,
+    0, the payload stands alone: :func:`rehydrate_run_result` decodes it
+    without a translation.
     """
     table = result.arc_table
-    arcs = [
-        (table.arc(arc_id) if table is not None else arc_id, clock)
-        for arc_id, clock in result.arcs.items()
-    ]
     recorder = result.recorder
+    comparisons = list(zip(*recorder.comparisons))
+    if comparisons:
+        comparisons[0] = list(map(_value, comparisons[0]))
     return (
-        result.status.name,
+        result.status._value_,
         result.error,
-        arcs,
-        recorder.comparisons,
-        recorder.eof_events,
+        result.arcs,
+        announced,
+        table.arcs_since(announced) if table is not None else [],
+        comparisons,
+        list(map(tuple, recorder.eof_events)),
         result.crash_signature,
     )
 
 
-def rehydrate_run_result(subject, text: str, payload: tuple) -> RunResult:
+def rehydrate_run_result(
+    subject,
+    text: str,
+    payload: tuple,
+    translation: Optional[ArcTranslation] = None,
+) -> RunResult:
     """Rebuild a :class:`RunResult` from :func:`serialize_run_result` output.
 
-    The recorder comes back provider-less (depth/clock/stack providers
-    belong to the worker's tracer); every query the fuzzing loop performs
+    ``translation`` is the sending worker's, and learns the arcs the
+    payload announces; None decodes a standalone payload.  The
+    recorder comes back provider-less (depth/clock/stack providers belong
+    to the worker's tracer); every query the fuzzing loop performs
     (``last_compared_index``, ``first_comparison_clock``,
     ``average_stack_size``, ``comparisons_touching``) reads only the
     recorded events, which crossed the pipe verbatim.
     """
-    status_name, error, arcs, comparisons, eof_events, crash_signature = payload
+    (
+        status,
+        error,
+        worker_arcs,
+        announced_from,
+        announced,
+        comparisons,
+        eof_events,
+        crash_signature,
+    ) = payload
     table = arc_table_for(subject)
-    intern = table.intern
-    recorder = Recorder()
-    recorder.comparisons = list(comparisons)
-    recorder.eof_events = list(eof_events)
+    if translation is None:
+        translation = ArcTranslation()
+    if announced:
+        translation.learn(announced_from, announced, table.intern)
     return RunResult(
         text=text,
-        status=ExitStatus[status_name],
-        recorder=recorder,
-        arcs={intern(arc): clock for arc, clock in arcs},
+        status=_STATUSES[status],
+        recorder=_ReceivedRecorder(comparisons, eof_events),
+        arcs=translation.translate(worker_arcs),
         value=None,
         error=error,
         arc_table=table,
-        crash_signature=tuple(crash_signature) if crash_signature else None,
+        crash_signature=crash_signature,
     )
 
 
@@ -150,17 +272,22 @@ def rehydrate_run_result(subject, text: str, payload: tuple) -> RunResult:
 
 
 def _run_and_send(
-    subject, text, trace_coverage, backend, results, batch_id, index
-) -> None:
+    subject, text, trace_coverage, backend, results, batch_id, index, announced
+) -> int:
+    """Run ``text`` and send its result; returns how many of this
+    process's arcs the parent knows afterwards."""
     try:
         result = run_subject(
             subject, text, trace_coverage=trace_coverage, coverage_backend=backend
         )
-        payload = serialize_run_result(result)
+        payload = serialize_run_result(result, announced)
     except BaseException as exc:  # noqa: BLE001 - report, let parent decide
         results.send(("fail", batch_id, index, f"{type(exc).__name__}: {exc}"))
-        return
-    results.send(("res", batch_id, index, payload))
+        return announced
+    # Primitives only: plain pickle, not the ForkingPickler (and its
+    # reducer table) that Connection.send builds for every message.
+    results.send_bytes(dumps(("res", batch_id, index, payload), HIGHEST_PROTOCOL))
+    return announced + len(payload[4])
 
 
 def _worker_main(
@@ -169,6 +296,7 @@ def _worker_main(
     trace_coverage: bool,
     isolation: str,
     kill_after: Optional[int],
+    shared: int,
     inbox,
     results,
 ) -> None:
@@ -178,9 +306,11 @@ def _worker_main(
     once, before the first batch; with ``isolation="fork"`` every
     candidate then runs in a fork child that inherits the warm state and
     sends its own result before ``os._exit`` — the worker never sees the
-    run's side effects.  The poll loop mirrors the grid/scheduler
-    workers: a SIGKILLed parent re-parents us instead of EOFing the pipe
-    (siblings hold write-end copies), so exit on ``getppid`` change.
+    run's side effects, and its count of arcs the parent knows stays at
+    ``shared``, the arcs it inherited.  The poll loop mirrors the
+    grid/scheduler workers: a SIGKILLed parent re-parents us instead of
+    EOFing the pipe (siblings hold write-end copies), so exit on
+    ``getppid`` change.
     """
     from repro.subjects.registry import load_subject
 
@@ -190,6 +320,7 @@ def _worker_main(
         from repro.runtime.instrument import instrumented_subject
 
         instrumented_subject(subject)  # compile once; forks inherit it warm
+    announced = shared
     served = 0
     while True:
         try:
@@ -218,6 +349,7 @@ def _worker_main(
                             results,
                             batch_id,
                             index,
+                            announced,
                         )
                     finally:
                         os._exit(0)
@@ -225,8 +357,15 @@ def _worker_main(
                 # An abnormal child exit sent nothing for this index; the
                 # parent detects the gap when "done" arrives.
             else:
-                _run_and_send(
-                    subject, text, trace_coverage, backend, results, batch_id, index
+                announced = _run_and_send(
+                    subject,
+                    text,
+                    trace_coverage,
+                    backend,
+                    results,
+                    batch_id,
+                    index,
+                    announced,
                 )
         results.send(("done", batch_id))
 
@@ -239,12 +378,14 @@ def _worker_main(
 class _WorkerHandle:
     """One persistent worker: process, pipes, and outstanding batches."""
 
-    __slots__ = ("process", "task_conn", "result_conn", "outstanding")
+    __slots__ = ("process", "task_conn", "result_conn", "outstanding", "arcs")
 
-    def __init__(self, process, task_conn, result_conn) -> None:
+    def __init__(self, process, task_conn, result_conn, shared: int) -> None:
         self.process = process
         self.task_conn = task_conn
         self.result_conn = result_conn
+        #: The worker's arc ids in the parent's table.
+        self.arcs = ArcTranslation(shared)
         #: batch_id -> [text or None, ...]; a slot is cleared (None) when
         #: its result arrives, so a worker death resubmits exactly the
         #: not-yet-received texts.
@@ -325,6 +466,12 @@ class PooledExecutor:
         _TEST_WORKER_KILL_AFTER = None
         task_recv, task_send = self._ctx.Pipe(duplex=False)
         result_recv, result_send = self._ctx.Pipe(duplex=False)
+        # A forked worker inherits the parent's arc table as it is now.
+        shared = (
+            len(arc_table_for(self.subject))
+            if self._ctx.get_start_method() == "fork"
+            else 0
+        )
         # daemon=False: grid/scheduler workers host executors too, and
         # daemonic processes may not have children.  Orphan safety comes
         # from the worker's getppid poll (exit once re-parented) plus the
@@ -337,6 +484,7 @@ class PooledExecutor:
                 self.trace_coverage,
                 self.isolation,
                 kill_after,
+                shared,
                 task_recv,
                 result_send,
             ),
@@ -347,7 +495,7 @@ class PooledExecutor:
         # worker's result pipe EOF in the parent (the death signal).
         task_recv.close()
         result_send.close()
-        handle = _WorkerHandle(process, task_send, result_recv)
+        handle = _WorkerHandle(process, task_send, result_recv, shared)
         self._workers.append(handle)
         return handle
 
@@ -431,13 +579,14 @@ class PooledExecutor:
         if kind == "res":
             _, batch_id, index, payload = message
             slots = handle.outstanding.get(batch_id)
-            if slots is None or slots[index] is None:
+            text = slots[index] if slots is not None else None
+            # Rehydrated even when dropped: the arcs it announces are
+            # the worker's, and its next results use their ids.
+            result = rehydrate_run_result(self.subject, text, payload, handle.arcs)
+            if text is None:
                 return  # duplicate after a resubmit race; first wins
-            text = slots[index]
             slots[index] = None
-            self._store_ready(
-                text, rehydrate_run_result(self.subject, text, payload)
-            )
+            self._store_ready(text, result)
         elif kind == "fail":
             _, batch_id, index, error = message
             slots = handle.outstanding.get(batch_id)

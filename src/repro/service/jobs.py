@@ -38,8 +38,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.core.config import SWITCHES, FuzzerConfig, config_problems
-from repro.eval.campaign import validate_campaign
+from repro.core.config import FuzzerConfig, config_problems
+from repro.eval.campaign import switch_problems, validate_campaign
 from repro.eval.checkpoint import atomic_write_text
 
 PathLike = Union[str, Path]
@@ -210,12 +210,7 @@ class JobSpec:
                 problems.append("shard_group requires a shard_id")
         options = fuzzer_options(self.to_dict())
         problems.extend(config_problems(options))
-        if self.tool != "pfuzzer":
-            problems.extend(
-                f"{name} requires the pfuzzer tool, got {self.tool!r}"
-                for name in SWITCHES
-                if options.get(name)
-            )
+        problems.extend(switch_problems(self.tool, options))
         if problems:
             raise JobError("; ".join(problems))
 

@@ -2,12 +2,22 @@
 
 Covers the executor layer in isolation (campaign-level fingerprint
 equivalence lives in ``tests/eval/test_executor_equivalence.py``):
-wire-format round-trips, single-run field equivalence against the inline
-path, batch ordering, worker-death respawn, isolation modes, campaign
-speculation (predicted append runs, ``batch_size=1``, the ready-cache
-bound), lifecycle, and the ``__slots__`` audit of the hot-loop
-dataclasses.
+wire-format round-trips, the primitive wire (no constructor in a result
+message) and the per-worker arc translation, single-run field
+equivalence against the inline path, batch ordering, worker-death
+respawn, isolation modes, campaign speculation (predicted append runs
+and their cached characters, ``batch_size=1``, hybrid floods, the
+ready-cache bound), lifecycle, and the ``__slots__`` audit of the
+hot-loop dataclasses.
 """
+
+import pickle
+import pickletools
+import random
+import sys
+import uuid
+from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +34,17 @@ from repro.runtime.executor import (
     rehydrate_run_result,
     serialize_run_result,
 )
-from repro.runtime.harness import run_subject
-from repro.subjects.registry import load_subject
+from repro.runtime.arcs import arc_table_for
+from repro.runtime.harness import ExitStatus, run_subject
+from repro.subjects.function import FunctionSubject
+from repro.subjects.registry import load_subject, register_subject
 
 #: Inputs spanning the interesting outcomes on the expr subject: valid,
 #: rejected-at-EOF, rejected mid-input, empty.
 EXPR_TEXTS = ["1+2", "(3*4)", "(1", "1+", "", "x", "((2))"]
+
+#: Where the test plugin subjects live.
+HELPERS = str(Path(__file__).resolve().parent.parent / "helpers")
 
 
 @pytest.fixture
@@ -71,11 +86,31 @@ def test_serialize_rehydrate_round_trip():
 
 
 def test_wire_payload_is_pickleable():
-    import pickle
-
     subject = load_subject("ini")
     payload = serialize_run_result(run_subject(subject, "[a]\nk=v"))
     assert pickle.loads(pickle.dumps(payload)) == payload
+
+
+def test_result_message_pickles_without_constructors():
+    """Status, kinds and events travel as primitives: unpickling a result
+    message calls no Python-level constructor (no ``NEWOBJ`` per event,
+    no ``REDUCE`` per enum member, no class looked up to call)."""
+    subject = load_subject("json")
+    results = [
+        run_subject(subject, text, coverage_backend="ast")
+        for text in ('{"a": [1, tru', "[1, 2]", "[1,", "nul")
+    ]
+    assert all(result.recorder.comparisons for result in results)
+    assert any(result.recorder.eof_events for result in results)
+    for result in results:
+        message = ("res", 0, 0, serialize_run_result(result))
+        opcodes = {
+            opcode.name
+            for opcode, _arg, _pos in pickletools.genops(
+                pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            )
+        }
+        assert not opcodes & {"STACK_GLOBAL", "GLOBAL", "REDUCE", "NEWOBJ"}
 
 
 # --------------------------------------------------------------------- #
@@ -102,6 +137,105 @@ def test_pooled_matches_inline_on_ast_backend():
                 run_subject(subject, text, coverage_backend="ast"),
                 executor.execute(text),
             )
+
+
+def _fresh_crashy():
+    """A registered plugin subject whose arc table nothing has used yet,
+    so a worker interns arcs the parent has not (ids are per process)."""
+    if HELPERS not in sys.path:
+        sys.path.insert(0, HELPERS)
+    from crashy_plugin import parse_crashy
+
+    name = f"wire-{uuid.uuid4().hex[:8]}"
+    register_subject(name, lambda: FunctionSubject(parse_crashy, name=name))
+    return load_subject(name)
+
+
+#: Valid, rejected, rejected at EOF, and crashing (nesting past the
+#: planted depth) inputs of the crashy subject.
+CRASHY_TEXTS = ["a", "(a)", "((a))", "(", "", "x", "(" * 14 + "a" + ")" * 14]
+
+
+def _assert_same_run(inline, pooled):
+    """Field by field, with the arcs compared as decoded tuples."""
+    assert pooled.text == inline.text
+    assert pooled.status is inline.status
+    assert pooled.error == inline.error
+    assert pooled.crash_signature == inline.crash_signature
+    decode = inline.arc_table.arc
+    assert {decode(arc): clock for arc, clock in pooled.arcs.items()} == {
+        decode(arc): clock for arc, clock in inline.arcs.items()
+    }
+    assert pooled.path_signature() == inline.path_signature()
+    assert pooled.recorder.comparisons == inline.recorder.comparisons
+    assert pooled.recorder.eof_events == inline.recorder.eof_events
+
+
+@pytest.mark.parametrize("isolation", ["none", "fork"])
+def test_pooled_matches_inline_when_the_parent_interns_after_the_fork(
+    isolation, monkeypatch
+):
+    """The worker and the parent intern the same arcs in different orders,
+    so the worker's ids reach the parent only through its translation;
+    under fork isolation every child announces its arcs again."""
+    translated = []
+    translate = executor_module.ArcTranslation.translate
+
+    def recording_translate(translation, arcs):
+        parent_arcs = translate(translation, arcs)
+        translated.append(parent_arcs is not arcs)
+        return parent_arcs
+
+    monkeypatch.setattr(
+        executor_module.ArcTranslation, "translate", recording_translate
+    )
+    subject = _fresh_crashy()
+    with PooledExecutor(subject, isolation=isolation) as executor:
+        # Reversed: the parent interns the arcs of the last texts first.
+        inline = [run_subject(subject, text) for text in CRASHY_TEXTS[::-1]]
+        for reference in inline[::-1]:
+            _assert_same_run(reference, executor.execute(reference.text))
+    assert ExitStatus.CRASH in {result.status for result in inline}
+    assert any(translated)
+
+
+def test_pooled_matches_inline_after_a_respawn():
+    subject = _fresh_crashy()
+    executor_module._TEST_WORKER_KILL_AFTER = 3
+    try:
+        with PooledExecutor(subject, isolation="none") as executor:
+            results = executor.run_batch(CRASHY_TEXTS)
+            assert executor.respawns >= 1
+    finally:
+        executor_module._TEST_WORKER_KILL_AFTER = None
+    for pooled in results:
+        _assert_same_run(run_subject(subject, pooled.text), pooled)
+
+
+def test_pooled_matches_inline_on_the_spawn_context(monkeypatch):
+    """A spawned worker shares no arcs with the parent: it announces every
+    arc it interns."""
+    monkeypatch.setattr(
+        executor_module, "get_context", lambda method: get_context("spawn")
+    )
+    subject = load_subject("expr")
+    with PooledExecutor(subject, isolation="none") as executor:
+        assert executor._workers[0].arcs.ids == []
+        for text in EXPR_TEXTS:
+            _assert_same_run(run_subject(subject, text), executor.execute(text))
+
+
+def test_translation_replaces_what_an_earlier_child_announced():
+    table = arc_table_for(_fresh_crashy())
+    translation = executor_module.ArcTranslation(shared=2)
+    translation.learn(2, [("f", 1, 2), ("f", 2, 3)], table.intern)
+    first = list(translation.ids)
+    # The next fork child interned other arcs from the same id on.
+    translation.learn(2, [("f", 2, 3)], table.intern)
+    assert translation.ids == [0, 1, first[3]]
+    assert translation.translate({2: 7}) == {first[3]: 7}
+    with pytest.raises(ExecutorError, match="from id 5"):
+        translation.learn(5, [("f", 9, 9)], table.intern)
 
 
 # --------------------------------------------------------------------- #
@@ -242,6 +376,112 @@ def test_batched_campaign_speculates_append_runs(monkeypatch):
     result = _batched_json(batch_size=1, budget=300).run()
     assert result.executions == 300
     assert sizes and set(sizes) == {1}
+
+
+def _sharded_batched_json(tmp_path, budget, resume=False):
+    config = FuzzerConfig(
+        seed=5,
+        max_executions=budget,
+        executor="pooled",
+        batch_size=8,
+        executor_isolation="none",
+        shard_id=1,
+        shard_count=2,
+        shard_rotate_every=50,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        checkpoint_every=100,
+        resume=resume,
+    )
+    return PFuzzer(load_subject("json"), config)
+
+
+def test_cached_append_prediction_is_the_campaign_rngs_own(
+    tmp_path, monkeypatch
+):
+    """The cached characters are what a fresh copy of the campaign RNG
+    draws next, at every prefetch; each real append draw gets the
+    character predicted for it whenever its pool is the one the
+    prediction used.  Checked across 16 shard pool rotations and a
+    checkpoint restore."""
+    predictions = {}  # (fuzzer, draw number) -> (epoch, character)
+    mismatches = []
+    prefetch = PFuzzer._prefetch
+
+    def checked_prefetch(fuzzer, head):
+        prefetch(fuzzer, head)
+        copy = random.Random()
+        copy.setstate(fuzzer._rng.getstate())
+        pool = fuzzer._append_pool()
+        predicted = fuzzer._predicted
+        assert predicted == [copy.choice(pool) for _ in predicted]
+        epoch = fuzzer._shard_epoch()
+        for offset, char in enumerate(predicted):
+            predictions[id(fuzzer), fuzzer._draws + offset] = (epoch, char)
+
+    draws = []
+    random_char = PFuzzer._random_char
+
+    def recorded_draw(fuzzer):
+        char = random_char(fuzzer)
+        predicted = predictions.get((id(fuzzer), fuzzer._draws - 1))
+        if predicted is not None and predicted[0] == fuzzer._shard_epoch():
+            draws.append(char)
+            if predicted[1] != char:
+                mismatches.append((fuzzer._draws, predicted, char))
+        return char
+
+    monkeypatch.setattr(PFuzzer, "_prefetch", checked_prefetch)
+    monkeypatch.setattr(PFuzzer, "_random_char", recorded_draw)
+    first = _sharded_batched_json(tmp_path, 400).run()
+    resumed = _sharded_batched_json(tmp_path, 800, resume=True).run()
+    assert (first.executions, resumed.executions, resumed.resumes) == (400, 800, 1)
+    assert len(draws) > 200 and not mismatches
+
+
+def test_restore_resyncs_a_warm_prediction_cache():
+    fuzzer = _batched_json(batch_size=8, budget=300)
+    fuzzer.run()
+    payload = fuzzer.snapshot()
+    fuzzer._random_char()  # the campaign RNG moves on, and the cache
+    fuzzer._predicted_chars()  # with it, past the snapshot
+    fuzzer.restore(payload)
+    pool = fuzzer._append_pool()
+    predicted = fuzzer._predicted_chars()
+    predicted.extend(fuzzer._predictor.choice(pool) for _ in range(4))
+    copy = random.Random()
+    copy.setstate(fuzzer._rng.getstate())
+    assert predicted == [copy.choice(pool) for _ in predicted]
+
+
+def test_hybrid_floods_are_prefetched(monkeypatch):
+    """A generation flood is known ahead, so its texts travel in
+    ``batch_size`` windows instead of one round trip each."""
+    cold = []
+    execute = PooledExecutor.execute
+
+    def counting_execute(pool, text):
+        if text not in pool._ready and text not in pool._pending:
+            cold.append(text)
+        return execute(pool, text)
+
+    monkeypatch.setattr(PooledExecutor, "execute", counting_execute)
+    config = FuzzerConfig(
+        seed=3,
+        max_executions=1_500,
+        coverage_backend="ast",
+        hybrid=True,
+        mine_after=200,
+        executor="pooled",
+        batch_size=8,
+        executor_isolation="none",
+    )
+    result = PFuzzer(load_subject("json"), config).run()
+    generated = {
+        node.text for node in result.lineage.nodes.values() if node.op == "gen"
+    }
+    assert len(generated) > 2 * config.batch_size
+    assert not generated & set(cold)
+    assert len(cold) <= 0.02 * result.executions
 
 
 def test_ready_cache_is_bounded_by_the_speculation_window(monkeypatch):

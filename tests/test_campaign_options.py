@@ -128,3 +128,47 @@ def test_job_spec_rejects_null_where_the_field_has_a_value(name):
     # default is None; elsewhere it is malformed input.
     with pytest.raises(JobError, match=f"{name.replace('_', ' ')}|{name}"):
         JobSpec(subject="expr", **{name: None}).validate()
+
+
+@pytest.mark.parametrize("tool", ("afl", "random"))
+def test_a_baseline_rejects_the_pfuzzer_switches(tool):
+    with pytest.raises(ValueError) as excinfo:
+        run_campaign(tool, "expr", 60, seed=1, hybrid=True, hunt_crashes=True)
+    message = str(excinfo.value)
+    assert f"hybrid requires the pfuzzer tool, got {tool!r}" in message
+    assert f"hunt_crashes requires the pfuzzer tool, got {tool!r}" in message
+    # The service's job specs say the same.
+    with pytest.raises(JobError, match="hybrid requires the pfuzzer tool"):
+        JobSpec(subject="expr", tool=tool, hybrid=True).validate()
+
+
+def test_run_grid_rejects_a_switch_for_a_baseline_before_any_cell_runs(
+    tmp_path,
+):
+    with pytest.raises(
+        ValueError, match="hunt_crashes requires the pfuzzer tool, got 'afl'"
+    ):
+        run_grid(
+            [RunSpec("pfuzzer", "expr", 10, 0), RunSpec("afl", "expr", 10, 0)],
+            checkpoint_dir=tmp_path / "grid",
+            hunt_crashes=True,
+        )
+    assert not (tmp_path / "grid").exists()
+
+
+def test_baselines_ignore_the_settings_every_cell_gets(tmp_path):
+    # Checkpoint cadence, tracing and the engine are settings, not modes:
+    # the grid passes them to every cell and a baseline runs without them.
+    output = run_campaign(
+        "afl", "expr", 60, seed=1, checkpoint_every=20, executor="pooled"
+    )
+    assert output.executions == 60
+    (record,) = run_grid(
+        [RunSpec("afl", "expr", 60, 1)],
+        jobs=1,
+        checkpoint_dir=tmp_path / "grid",
+        checkpoint_every=20,
+        trace_dir=tmp_path / "traces",
+    )
+    assert record.status is RunStatus.OK
+    assert record.output.valid_inputs == output.valid_inputs

@@ -76,7 +76,12 @@ def test_flag_cases_cover_every_shared_flag():
 @pytest.mark.parametrize(
     "argv, name, value", FLAG_CASES, ids=[case[1] for case in FLAG_CASES]
 )
-def test_shared_flag_reaches_the_fuzz_config(fuzzer, argv, name, value):
+def test_shared_flag_reaches_the_fuzz_config(
+    fuzzer, tmp_path, argv, name, value
+):
+    if name == "checkpoint_every":
+        # A single campaign snapshots only into a directory (see below).
+        argv = [*argv, "--checkpoint-dir", str(tmp_path)]
     assert main(["fuzz", "expr", "--budget", "10", *argv]) == 0
     (config,) = fuzzer.configs
     assert getattr(config, name) == value
@@ -146,6 +151,26 @@ def test_fuzz_rejects_flags_its_path_does_not_apply(
     err = capsys.readouterr().err
     assert ", ".join(unapplied) in err
     assert not trace.exists() and not group.exists()
+
+
+def test_checkpoint_every_without_a_directory_is_a_usage_error(
+    fuzzer, tmp_path, monkeypatch, capsys
+):
+    assert main(["fuzz", "expr", "--budget", "60", "--checkpoint-every", "10"]) == 2
+    assert "--checkpoint-every requires --checkpoint-dir" in capsys.readouterr().err
+    assert fuzzer.configs == []
+    # A sharded group keeps its temporary snapshot root.
+    import tempfile
+
+    root = tmp_path / "group"
+    monkeypatch.setattr(
+        tempfile, "mkdtemp", lambda prefix: root.mkdir() or str(root)
+    )
+    assert main(
+        ["fuzz", "expr", "--shards", "2", "--budget", "100",
+         "--slice-executions", "50", "--checkpoint-every", "25"]
+    ) == 0
+    assert (root / "corpus.jsonl").exists()
 
 
 def test_sharded_fuzz_applies_its_own_campaign_options(tmp_path, capsys):
