@@ -103,7 +103,9 @@ class FuzzingResult:
             on resume, and writing them).  Totals are cumulative across
             resumes, but a snapshot cannot hold the time of its own
             write, so the write that ended each earlier run is missing
-            from a resumed campaign's totals.
+            from the totals of a campaign resumed from its checkpoint (a
+            campaign resumed from memory, see :meth:`PFuzzer.resume`,
+            keeps it).
         valid_signatures: stable path signature of each emitted input's
             execution, aligned with ``valid_inputs`` (persisted alongside
             the corpus; see :mod:`repro.eval.corpus_store`).
@@ -112,8 +114,8 @@ class FuzzingResult:
             replaying an input's derivation chain.
         lineage: the campaign's full candidate lineage tree (see
             :mod:`repro.obs.lineage`); always recorded, tracing or not.
-        resumes: how many times this campaign was restored from a
-            checkpoint (0 for an uninterrupted run).
+        resumes: how many times this campaign was resumed, from a
+            checkpoint or from memory (0 for an uninterrupted run).
         preempted: True when the run stopped at an iteration boundary
             because the ``should_preempt`` hook asked it to, with budget
             still left — the campaign is paused, not finished, and a
@@ -182,16 +184,18 @@ class PFuzzer:
             raise ValueError("; ".join(problems))
         self.on_emit = on_emit
         self.should_preempt = should_preempt
-        self._owns_trace = tracer is None and self.config.trace_path is not None
-        if tracer is not None:
-            self._trace = tracer
-        elif self._owns_trace:
-            self._trace = JsonlTraceRecorder(self.config.trace_path)
-        else:
-            self._trace = NULL_RECORDER
-        #: Guard for event *construction* on the hot path: with tracing
-        #: disabled every emit site costs exactly this flag check.
-        self._trace_on = self._trace.enabled
+        self._attach_trace(
+            tracer,
+            totals={
+                "execute": 0.0,
+                "rescore": 0.0,
+                "substitute": 0.0,
+                "checkpoint": 0.0,
+            },
+        )
+        #: Set by :meth:`resume`: the next run continues the in-memory
+        #: state instead of loading a checkpoint.
+        self._resume_in_memory = False
         self._lineage = LineageLog()
         self._rng = random.Random(self.config.seed)
         #: Characters this object drew from ``_rng`` (snapshots omit it).
@@ -221,15 +225,6 @@ class PFuzzer:
         self._result = FuzzingResult()
         self._queue = CandidateQueue(
             self._score, limit=self.config.queue_limit, seen=self._seen
-        )
-        self._timer = PhaseTimer(
-            self._trace,
-            totals={
-                "execute": 0.0,
-                "rescore": 0.0,
-                "substitute": 0.0,
-                "checkpoint": 0.0,
-            },
         )
         #: Wall seconds consumed by previous runs of a resumed campaign.
         self._wall_consumed = 0.0
@@ -266,6 +261,23 @@ class PFuzzer:
             self._hybrid = HybridEngine(
                 HybridConfig.from_fuzzer(self.config), self.config.seed
             )
+
+    def _attach_trace(
+        self, tracer: Optional[TraceRecorder], totals: Dict[str, float]
+    ) -> None:
+        """Point the run's events and phase spans at ``tracer`` (see the
+        class docstring for None), keeping the phase ``totals``."""
+        self._owns_trace = tracer is None and self.config.trace_path is not None
+        if tracer is not None:
+            self._trace = tracer
+        elif self._owns_trace:
+            self._trace = JsonlTraceRecorder(self.config.trace_path)
+        else:
+            self._trace = NULL_RECORDER
+        #: Guard for event *construction* on the hot path: with tracing
+        #: disabled every emit site costs exactly this flag check.
+        self._trace_on = self._trace.enabled
+        self._timer = PhaseTimer(self._trace, totals=totals)
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -1041,11 +1053,8 @@ class PFuzzer:
         )
         rng_version, rng_internal, rng_gauss = payload["rng"]
         self._rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
-        self._predicted_epoch = None
         self._timer.totals = dict(payload["phase_times"])
-        self._wall_consumed = payload["wall_time"]
-        self._last_checkpoint = result.executions
-        self._last_cull = result.executions
+        self._ready_resumed(payload["wall_time"])
         sync_state = payload.get("sync")
         if self._syncer is not None and sync_state:
             self._syncer.restore_payload(sync_state["cursor"])
@@ -1085,6 +1094,30 @@ class PFuzzer:
             return
         self._write_checkpoint()
 
+    def _ready_resumed(self, wall_time: float) -> None:
+        """Ready restored or paused state for its next run, the same way
+        on both resume paths: the cadence clocks restart at the current
+        execution count, the append predictor resyncs from the RNG, the
+        campaign is no longer preempted, and ``wall_time`` carries over."""
+        executions = self._result.executions
+        self._last_checkpoint = executions
+        self._last_cull = executions
+        self._predicted_epoch = None
+        self._result.preempted = False
+        self._wall_consumed = wall_time
+
+    def _count_resume(self, started: float) -> None:
+        """Count a resume whose work began at ``started``, charged to the
+        ``"checkpoint"`` phase, and emit its ``resumed`` event."""
+        self._result.resumes += 1
+        self._timer.stop("checkpoint", started)
+        if self._trace_on:
+            self._trace.emit(
+                "resumed",
+                executions=self._result.executions,
+                resumes=self._result.resumes,
+            )
+
     def _resume_from_checkpoint(self) -> None:
         """Load the newest valid snapshot, if any (``config.resume``).
 
@@ -1096,16 +1129,34 @@ class PFuzzer:
 
         started = self._timer.start()
         loaded = load_latest(self.config.checkpoint_dir)
-        if loaded is not None:
-            self.restore(loaded[1])
-            self._result.resumes += 1
-        self._timer.stop("checkpoint", started)
-        if loaded is not None and self._trace_on:
-            self._trace.emit(
-                "resumed",
-                executions=self._result.executions,
-                resumes=self._result.resumes,
-            )
+        if loaded is None:
+            self._timer.stop("checkpoint", started)
+            return
+        self.restore(loaded[1])
+        self._count_resume(started)
+
+    def resume(
+        self, should_preempt=None, tracer: Optional[TraceRecorder] = None
+    ) -> None:
+        """Continue this paused campaign from memory on the next :meth:`run`.
+
+        The campaign's last run must have stopped at its preemption hook.
+        That run ended with a snapshot of exactly the state still in
+        memory, so the next run can skip loading it: it counts the resume,
+        emits ``resumed`` and continues as a run restored from that
+        snapshot would, with ``should_preempt`` and ``tracer`` taking the
+        place of the constructor's.  The campaign service keeps campaigns
+        resident between slices this way; only the phase times and wall
+        time differ from a resume from disk, which also charges its load.
+
+        Raises:
+            ValueError: the last run was not preempted.
+        """
+        if not self._result.preempted:
+            raise ValueError("only a preempted campaign can resume from memory")
+        self.should_preempt = should_preempt
+        self._attach_trace(tracer, totals=self._timer.totals)
+        self._resume_in_memory = True
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -1251,7 +1302,12 @@ class PFuzzer:
                 self._executor = None
 
     def _run(self) -> FuzzingResult:
-        if self.config.checkpoint_dir is not None and self.config.resume:
+        if self._resume_in_memory:
+            self._resume_in_memory = False
+            started = self._timer.start()
+            self._ready_resumed(self._result.wall_time)
+            self._count_resume(started)
+        elif self.config.checkpoint_dir is not None and self.config.resume:
             self._resume_from_checkpoint()
         run_base = self._result.executions
         started = time.monotonic()

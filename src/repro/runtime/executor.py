@@ -65,10 +65,11 @@ determinism is unaffected because results are keyed by text.
 from __future__ import annotations
 
 import os
+import select
 import signal
 from collections import OrderedDict
 from itertools import repeat
-from multiprocessing import connection, get_context
+from multiprocessing import get_context
 from operator import attrgetter
 from pickle import HIGHEST_PROTOCOL, dumps
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -320,11 +321,15 @@ def _worker_main(
         from repro.runtime.instrument import instrumented_subject
 
         instrumented_subject(subject)  # compile once; forks inherit it warm
+    # One poll object for the worker's life: ``inbox.poll`` builds a
+    # fresh selector on every call, once per batch.
+    poller = select.poll()
+    poller.register(inbox.fileno(), select.POLLIN)
     announced = shared
     served = 0
     while True:
         try:
-            while not inbox.poll(1.0):
+            while not poller.poll(1000):
                 if os.getppid() != parent:
                     return
             item = inbox.recv()
@@ -448,6 +453,11 @@ class PooledExecutor:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._ctx = get_context("spawn")
         self._workers: List[_WorkerHandle] = []
+        #: One poll object over every worker's result pipe for the
+        #: executor's life (``connection.wait`` builds a selector per
+        #: call), and the worker index behind each registered descriptor.
+        self._poller = select.poll()
+        self._worker_of_fd: Dict[int, int] = {}
         self._next_worker = 0
         self._next_batch = 0
         #: text -> worker index, for every submitted-but-unreceived text.
@@ -497,6 +507,9 @@ class PooledExecutor:
         result_send.close()
         handle = _WorkerHandle(process, task_send, result_recv, shared)
         self._workers.append(handle)
+        fd = result_recv.fileno()
+        self._poller.register(fd, select.POLLIN)
+        self._worker_of_fd[fd] = len(self._workers) - 1
         return handle
 
     def close(self) -> None:
@@ -620,6 +633,9 @@ class PooledExecutor:
         if handle.process.is_alive():  # pragma: no cover - refuses to die
             handle.process.terminate()
             handle.process.join(timeout=1.0)
+        fd = handle.result_conn.fileno()
+        self._poller.unregister(fd)
+        del self._worker_of_fd[fd]
         handle.task_conn.close()
         handle.result_conn.close()
         for text in unfinished:
@@ -629,25 +645,24 @@ class PooledExecutor:
         # Keep the round-robin index valid after the list shuffle.
         self._workers.remove(replacement)
         self._workers.insert(worker_index, replacement)
+        self._worker_of_fd[replacement.result_conn.fileno()] = worker_index
         self.respawns += 1
         if unfinished:
             self._submit(worker_index, unfinished)
 
     def _drain(self, timeout: Optional[float]) -> bool:
-        """Receive every available message; True if any arrived."""
-        conns = {
-            handle.result_conn: index
-            for index, handle in enumerate(self._workers)
-            if handle.outstanding
-        }
-        if not conns:
+        """Receive every available message; True if any arrived.
+
+        Every worker's pipe is polled, busy or not, so a worker that died
+        idle is respawned here rather than at its next submission."""
+        if not any(handle.outstanding for handle in self._workers):
             return False
-        ready = connection.wait(list(conns), timeout=timeout)
+        events = self._poller.poll(None if timeout is None else timeout * 1000)
         progressed = False
-        for conn in ready:
-            worker_index = conns[conn]
+        for fd, _ in events:
+            worker_index = self._worker_of_fd[fd]
             try:
-                message = conn.recv()
+                message = self._workers[worker_index].result_conn.recv()
             except (EOFError, OSError):
                 self._handle_death(worker_index)
                 progressed = True

@@ -42,6 +42,17 @@ is a deterministic function of the slice-completion history; and because
 slicing is invisible to campaign results, a job's final fingerprint is
 identical under blind and adaptive scheduling.
 
+Each worker keeps the paused campaigns of its two most recent pFuzzer
+slices in memory (:data:`RESIDENT_CAMPAIGNS`).  A job's next slice on the
+same worker continues that copy instead of reading the checkpoint it
+just wrote, when the job's newest checkpoint generation is still the one
+the copy ended with; otherwise it resumes from disk.  Every slice still
+ends with one checkpoint write, so what is on disk, and with it crash
+recovery, is the same either way, and so is the result.  Residency picks
+where a slice runs, never which job runs next: when the fair-share
+winner's campaign is held by a busy worker, its slice is queued behind
+that worker's current one and the idle worker takes the next job.
+
 Process management reuses the evaluation grid's machinery
 (:class:`repro.eval.parallel.WorkerPool`): per-worker pipes for fault
 isolation, a parent-side watchdog for hung slices, and bounded
@@ -54,11 +65,13 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.eval.campaign import ToolOutput, run_campaign
+from repro.eval.checkpoint import list_generations
 from repro.eval.metrics import CampaignMetrics
 from repro.eval.parallel import WorkerPool
 from repro.runtime.limits import RunTimeout, peak_rss_bytes, time_limit
@@ -70,6 +83,9 @@ from repro.service.jobs import (
     JobStore,
     fuzzer_options,
 )
+
+if TYPE_CHECKING:
+    from repro.core.fuzzer import PFuzzer
 
 
 @dataclass(frozen=True)
@@ -122,6 +138,66 @@ class SliceResult:
     #: Per-type count of trace events this slice emitted (empty when the
     #: job is untraced) — what the service's Prometheus counters sum.
     trace_events: Optional[Dict[str, int]] = None
+    #: True when the slice continued the campaign its worker held in
+    #: memory, False when it read the job's checkpoint (or started fresh).
+    resumed_resident: bool = False
+    #: Jobs whose campaigns the slice's worker holds in memory after it,
+    #: least recently run first — what dispatch places slices by.
+    resident_jobs: Tuple[str, ...] = ()
+
+
+#: Paused pFuzzer campaigns a scheduler worker keeps in memory between
+#: slices, so the job's next slice on that worker skips its checkpoint.
+RESIDENT_CAMPAIGNS = 2
+
+
+@dataclass
+class _Resident:
+    """A paused campaign held in a worker, and the checkpoint generation
+    its last slice ended with (the snapshot of exactly this state)."""
+
+    fuzzer: "PFuzzer"
+    generation: int
+
+
+#: This worker's resident campaigns by job id, least recently run first.
+#: Per process: :func:`_slice_worker` empties it when a worker starts,
+#: since a fork copies the parent's.
+_resident: "OrderedDict[str, _Resident]" = OrderedDict()
+
+
+def _take_resident(job_id: str, config) -> Optional["PFuzzer"]:
+    """The job's resident campaign, if this slice may continue it.
+
+    The copy leaves the table either way, so a slice that raises or
+    times out during its run leaves none behind (one that fails after
+    keeping it leaves a copy of its final checkpoint, which is as good).
+    It is continued only when the slice's config equals its own and the
+    job's newest checkpoint generation is the one its last slice wrote:
+    a newer one means the job advanced on another worker since, and the
+    checkpoint is ahead of the copy.
+
+    The table also makes room here for the campaign this slice keeps:
+    the least recently run one, evicted after the slice anyway, goes now
+    and its memory serves the slice instead of adding to it.
+    """
+    held = _resident.pop(job_id, None)
+    while len(_resident) >= RESIDENT_CAMPAIGNS:
+        _resident.popitem(last=False)
+    if held is None or held.fuzzer.config != config:
+        return None
+    generations = list_generations(config.checkpoint_dir)
+    if not generations or generations[-1] != held.generation:
+        return None
+    return held.fuzzer
+
+
+def _keep_resident(job_id: str, fuzzer: "PFuzzer") -> None:
+    """Hold a paused campaign for the job's next slice (in the room
+    :func:`_take_resident` made)."""
+    generations = list_generations(fuzzer.config.checkpoint_dir)
+    if generations:
+        _resident[job_id] = _Resident(fuzzer, generations[-1])
 
 
 def _job_checkpoint_dir(state_dir: Path, job_id: str) -> str:
@@ -131,25 +207,29 @@ def _job_checkpoint_dir(state_dir: Path, job_id: str) -> str:
 def _run_slice(task: dict) -> SliceResult:
     """Execute one slice in the worker process.
 
-    pFuzzer jobs resume from the job's checkpoint directory and run with
-    the preemption hook armed; the end-of-run snapshot captures the
-    paused state.  Baseline tools have no resumable state: they run their
-    whole budget in this single slice.
+    pFuzzer jobs run with the preemption hook armed and end with a
+    snapshot of the paused state.  A slice continues the job's campaign
+    from memory when its worker still holds it (see
+    :func:`_take_resident`) and otherwise resumes from the job's
+    checkpoint directory; both give the same result.  Baseline tools have
+    no resumable state: they run their whole budget in this single slice.
     """
     started = time.monotonic()
     trace_events: Optional[Dict[str, int]] = None
+    resumed_resident = False
+    if task.get("subject_module"):
+        from repro.subjects.registry import load_subject_module
+
+        # Plugin registrations are per-process; the worker must import
+        # the module itself before the name resolves.
+        load_subject_module(task["subject_module"])
     if task["tool"] == "pfuzzer":
         from repro.core.config import FuzzerConfig
         from repro.core.fuzzer import PFuzzer
         from repro.eval.checkpoint import result_fingerprint
         from repro.runtime.arcs import arc_table_for
-        from repro.subjects.registry import load_subject, load_subject_module
+        from repro.subjects.registry import load_subject
 
-        if task.get("subject_module"):
-            # Plugin registrations are per-process; the worker must import
-            # the module itself before the name resolves.
-            load_subject_module(task["subject_module"])
-        subject = load_subject(task["subject"])
         # Specs are immutable, so every slice of a job runs with the same
         # fingerprinted options and its snapshots keep restoring.
         config = FuzzerConfig(
@@ -168,19 +248,32 @@ def _run_slice(task: dict) -> SliceResult:
                 os.path.join(task["checkpoint_dir"], "trace.ndjson")
             )
         slice_cap = task["slice_executions"]
-        try:
-            result = PFuzzer(
-                subject,
+
+        def should_preempt(run_execs: int, _total: int) -> bool:
+            return run_execs >= slice_cap
+
+        fuzzer = _take_resident(task["job_id"], config)
+        if fuzzer is None:
+            fuzzer = PFuzzer(
+                load_subject(task["subject"]),
                 config,
-                should_preempt=lambda run_execs, _total: run_execs >= slice_cap,
+                should_preempt=should_preempt,
                 tracer=tracer,
-            ).run()
+            )
+        else:
+            fuzzer.resume(should_preempt, tracer)
+            resumed_resident = True
+        try:
+            result = fuzzer.run()
         finally:
             if tracer is not None:
                 tracer.close()
         if tracer is not None:
             trace_events = dict(tracer.counts)
+        subject = fuzzer.subject
         done = not result.preempted
+        if not done:
+            _keep_resident(task["job_id"], fuzzer)
         # The canonical fingerprint is a full JSON document; journal the
         # digest — equality is all the determinism contract needs.
         fingerprint = (
@@ -208,7 +301,11 @@ def _run_slice(task: dict) -> SliceResult:
         )
     else:
         output = run_campaign(
-            task["tool"], task["subject"], task["budget"], seed=task["seed"]
+            task["tool"],
+            task["subject"],
+            task["budget"],
+            seed=task["seed"],
+            subject_module=task.get("subject_module"),
         )
         done = True
         fingerprint = None
@@ -220,6 +317,8 @@ def _run_slice(task: dict) -> SliceResult:
         peak_rss_bytes=peak_rss_bytes(),
         slice_wall=time.monotonic() - started,
         trace_events=trace_events,
+        resumed_resident=resumed_resident,
+        resident_jobs=tuple(_resident),
     )
 
 
@@ -231,6 +330,7 @@ def _slice_worker(worker_id: int, inbox, results) -> None:
     ``recv`` forever, holding the service's listening socket open.  The
     loop therefore polls with a timeout and exits once re-parented.
     """
+    _resident.clear()
     parent = os.getppid()
     while True:
         try:
@@ -319,11 +419,21 @@ class CampaignScheduler:
         #: lifecycle's clock (never wall time, so park/probe decisions
         #: are a pure function of the slice-completion history).
         self._fleet_executions = 0
+        #: Completed slices that continued a campaign held in memory
+        #: instead of reading its checkpoint (this scheduler's lifetime).
+        self.resident_resumes = 0
+        #: worker_id -> jobs whose campaigns that worker holds in memory
+        #: and no other worker has run since, least recently run first.
+        self._held: Dict[int, Tuple[str, ...]] = {}
+        #: worker_id -> job whose slice was sent to that busy worker to
+        #: run right after its current one (see :meth:`_dispatch_ready`).
+        self._queued: Dict[int, str] = {}
 
     # -- bookkeeping ----------------------------------------------------- #
 
     def _assigned_jobs(self) -> set:
-        return {job_id for job_id, _ in self.assignments.values()}
+        running = {job_id for job_id, _ in self.assignments.values()}
+        return running | set(self._queued.values())
 
     def _runnable(self) -> List[JobRecord]:
         now = time.monotonic()
@@ -448,6 +558,7 @@ class CampaignScheduler:
             # flight: drop the result, keep the snapshot on disk.
             return
         delta = self._charge(record, outcome.output.executions)
+        self.resident_resumes += outcome.resumed_resident
         if self.config.adaptive and record.spec.tool == "pfuzzer":
             # Discoveries this slice: the growth of the cumulative
             # emitted-inputs list over the record's last known count.
@@ -510,11 +621,25 @@ class CampaignScheduler:
             self.store.transition(job_id, JobState.QUEUED, error=error)
 
     def _handle_message(self, message: Tuple) -> None:
-        kind, worker_id = message[0], message[1]
+        kind, worker_id, job_id = message[0], message[1], message[2]
         self.assignments.pop(worker_id, None)
+        queued = self._queued.pop(worker_id, None)
+        if queued is not None:
+            # The worker went straight on to the slice queued behind.
+            self._start(worker_id, queued)
+        # Copies of this job held elsewhere are behind its checkpoint now.
+        for other, held in self._held.items():
+            if other != worker_id and job_id in held:
+                self._held[other] = tuple(j for j in held if j != job_id)
         if kind == "ok":
+            self._held[worker_id] = message[3].resident_jobs
             self._handle_ok(message[3])
-        elif kind == "timeout":
+            return
+        # A failed slice drops its job's copy in the worker.
+        self._held[worker_id] = tuple(
+            j for j in self._held.get(worker_id, ()) if j != job_id
+        )
+        if kind == "timeout":
             self._handle_failure(
                 message[2],
                 f"slice exceeded {self.config.slice_timeout:g}s wall-clock limit"
@@ -526,8 +651,15 @@ class CampaignScheduler:
 
     # -- event loop ------------------------------------------------------ #
 
+    def _forget(self, worker_id: int) -> None:
+        """Drop what a removed worker held and the slice queued on it (its
+        job never started there, so it is simply runnable again)."""
+        self._held.pop(worker_id, None)
+        self._queued.pop(worker_id, None)
+
     def _reap_dead_workers(self) -> None:
         for worker_id, exit_code in self.pool.reap():
+            self._forget(worker_id)
             assignment = self.assignments.pop(worker_id, None)
             if assignment is not None:
                 job_id, _ = assignment
@@ -546,6 +678,7 @@ class CampaignScheduler:
                 continue
             self.pool.remove(worker_id, terminate=True)
             self.assignments.pop(worker_id, None)
+            self._forget(worker_id)
             self._handle_failure(job_id, "slice hung past the watchdog deadline")
 
     def _abort_cancelled(self) -> None:
@@ -562,67 +695,118 @@ class CampaignScheduler:
             if state is JobState.CANCELLED:
                 self.pool.remove(worker_id, terminate=True)
                 self.assignments.pop(worker_id, None)
+                self._forget(worker_id)
+
+    def _holder(self, record: JobRecord, idle_worker: int) -> Optional[int]:
+        """The busy worker that will still hold ``record``'s campaign after
+        its current slice, with no slice queued behind it yet; None when
+        there is none or ``idle_worker`` holds the campaign itself.
+
+        A worker's table keeps the campaign of the slice it runs plus the
+        most recent :data:`RESIDENT_CAMPAIGNS` - 1 others (see
+        :func:`_take_resident`).  Gang members are never queued: their
+        placement, like their rotation, does not depend on residency.
+        """
+        job_id = record.job_id
+        if record.spec.shard_group is not None:
+            return None
+        if job_id in self._held.get(idle_worker, ()):
+            return None
+        for worker_id, (running, _) in self.assignments.items():
+            if worker_id in self._queued:
+                continue
+            others = [j for j in self._held.get(worker_id, ()) if j != running]
+            if job_id in others[len(others) - (RESIDENT_CAMPAIGNS - 1) :]:
+                return worker_id
+        return None
+
+    def _start(self, worker_id: int, job_id: str) -> None:
+        """Record that ``worker_id`` runs a slice of ``job_id`` from now.
+
+        A job cancelled while its slice was queued stays cancelled;
+        :meth:`_abort_cancelled` stops the worker running it."""
+        if self.store.get(job_id).state not in TERMINAL_STATES:
+            self.store.transition(job_id, JobState.RUNNING)
+        deadline = (
+            time.monotonic()
+            + self.config.slice_timeout
+            + self.config.watchdog_grace
+            if self.config.slice_timeout is not None
+            else None
+        )
+        self.assignments[worker_id] = (job_id, deadline)
+
+    def _send(self, worker_id: int, record: JobRecord) -> None:
+        """Dispatch one slice of ``record`` to ``worker_id``."""
+        self.dispatch_log.append(record.job_id)
+        # The task is the job's spec plus the keys the service owns.
+        spec = record.spec
+        group = spec.shard_group
+        self.pool.send(
+            worker_id,
+            dict(
+                spec.to_dict(),
+                job_id=record.job_id,
+                checkpoint_dir=_job_checkpoint_dir(self.state_dir, record.job_id),
+                slice_executions=self.config.slice_executions,
+                slice_timeout=self.config.slice_timeout,
+                sync_store=(
+                    str(self.state_dir / "groups" / group / "corpus.jsonl")
+                    if group is not None
+                    else None
+                ),
+            ),
+        )
 
     def _dispatch_ready(self) -> None:
+        """Give every idle worker the next job in fair-share order.
+
+        Residency changes where a slice runs, never which job goes next:
+        when a busy worker holds the winner's campaign in memory, the
+        winner's slice is queued behind that worker's current one and the
+        idle worker takes the next job in the same order (unless nothing
+        else is runnable, when it takes the winner itself).
+        """
         idle = [
             worker_id
             for worker_id in self.pool.worker_ids()
             if worker_id not in self.assignments
         ]
         for worker_id in idle:
-            runnable = self._runnable()
-            if not runnable:
+            while True:
+                runnable = self._runnable()
+                if not runnable:
+                    return
+                if self.config.adaptive and self._parked:
+                    unparked = [r for r in runnable if self._probe_eligible(r)]
+                    # If every runnable account is parked inside its probe
+                    # window, probe the fair-share winner immediately
+                    # instead: idle workers over parked-only fleets would
+                    # deadlock run_until_idle (and waste capacity in the
+                    # service loop).
+                    if unparked:
+                        runnable = unparked
+                record = min(
+                    runnable,
+                    # Gang members tie on their shared account; the extra
+                    # executions term rotates the group round-robin (least
+                    # progressed member first) instead of letting the
+                    # lowest seq drain its whole budget before its peers
+                    # start.
+                    key=lambda r: (
+                        self._virtual_time(r),
+                        r.executions if r.spec.shard_group is not None else 0,
+                        r.seq,
+                    ),
+                )
+                holder = self._holder(record, worker_id)
+                if holder is not None and len(runnable) > 1:
+                    self._queued[holder] = record.job_id
+                    self._send(holder, record)
+                    continue
+                self._start(worker_id, record.job_id)
+                self._send(worker_id, record)
                 break
-            if self.config.adaptive and self._parked:
-                unparked = [r for r in runnable if self._probe_eligible(r)]
-                # If every runnable account is parked inside its probe
-                # window, probe the fair-share winner immediately instead:
-                # idle workers over parked-only fleets would deadlock
-                # run_until_idle (and waste capacity in the service loop).
-                if unparked:
-                    runnable = unparked
-            record = min(
-                runnable,
-                # Gang members tie on their shared account; the extra
-                # executions term rotates the group round-robin (least
-                # progressed member first) instead of letting the lowest
-                # seq drain its whole budget before its peers start.
-                key=lambda r: (
-                    self._virtual_time(r),
-                    r.executions if r.spec.shard_group is not None else 0,
-                    r.seq,
-                ),
-            )
-            self.store.transition(record.job_id, JobState.RUNNING)
-            self.dispatch_log.append(record.job_id)
-            deadline = (
-                time.monotonic()
-                + self.config.slice_timeout
-                + self.config.watchdog_grace
-                if self.config.slice_timeout is not None
-                else None
-            )
-            self.assignments[worker_id] = (record.job_id, deadline)
-            # The task is the job's spec plus the keys the service owns.
-            spec = record.spec
-            group = spec.shard_group
-            self.pool.send(
-                worker_id,
-                dict(
-                    spec.to_dict(),
-                    job_id=record.job_id,
-                    checkpoint_dir=_job_checkpoint_dir(
-                        self.state_dir, record.job_id
-                    ),
-                    slice_executions=self.config.slice_executions,
-                    slice_timeout=self.config.slice_timeout,
-                    sync_store=(
-                        str(self.state_dir / "groups" / group / "corpus.jsonl")
-                        if group is not None
-                        else None
-                    ),
-                ),
-            )
 
     def _ensure_capacity(self) -> None:
         wanted = min(
@@ -655,3 +839,5 @@ class CampaignScheduler:
         and a journal replay re-queues their jobs as resumable."""
         self.pool.shutdown()
         self.assignments.clear()
+        self._held.clear()
+        self._queued.clear()

@@ -284,9 +284,12 @@ class CampaignService:
             "# HELP repro_service_executions_total Subject executions across all jobs.",
             "# TYPE repro_service_executions_total counter",
             f"repro_service_executions_total {executions}",
-            "# HELP repro_service_resumes_total Checkpoint resumes across all jobs.",
+            "# HELP repro_service_resumes_total Resumes across all jobs, from a checkpoint or from memory.",
             "# TYPE repro_service_resumes_total counter",
             f"repro_service_resumes_total {resumes}",
+            "# HELP repro_service_resident_resumes_total Resumes from a campaign a worker held in memory, since the service started.",
+            "# TYPE repro_service_resident_resumes_total counter",
+            f"repro_service_resident_resumes_total {self.scheduler.resident_resumes}",
             "# HELP repro_service_slices_total Completed time slices.",
             "# TYPE repro_service_slices_total counter",
             f"repro_service_slices_total {slices}",

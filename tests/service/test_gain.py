@@ -30,6 +30,7 @@ from repro.eval.campaign import ToolOutput
 from repro.service.gain import GainConfig, GainEstimator
 from repro.service.jobs import JobSpec, JobState, JobStore
 from repro.service.scheduler import (
+    RESIDENT_CAMPAIGNS,
     CampaignScheduler,
     SchedulerConfig,
     SliceResult,
@@ -569,3 +570,223 @@ def test_adaptive_fingerprints_match_blind_fingerprints(tmp_path):
         tmp_path / "one", "adaptive", True, (3,)
     )
     assert single_adaptive == single_blind == [blind[0]]
+
+
+# --------------------------------------------------------------------- #
+# Residency: slices go where their campaign is held, in the same order
+# --------------------------------------------------------------------- #
+
+
+class ResidentFakePool(FakePool):
+    """:class:`FakePool` whose workers keep their recent paused campaigns
+    the way scheduler workers do, report them with every slice, and run
+    the slices sent to them in order, one per drain.  Workers in
+    ``slow`` need two drains per slice, so slices finish out of step."""
+
+    def __init__(self, sims, slow=()) -> None:
+        super().__init__(sims)
+        self.slow = set(slow)
+        self.queues: Dict[int, List[dict]] = {}
+        self.tables: Dict[int, List[str]] = {}
+        self.waited: Dict[int, bool] = {}
+        #: job id -> worker of its last slice (a copy elsewhere is stale).
+        self.ran_on: Dict[str, int] = {}
+        self.placements: List[tuple] = []
+
+    def spawn(self) -> int:
+        worker_id = super().spawn()
+        self.queues[worker_id] = []
+        self.tables[worker_id] = []
+        return worker_id
+
+    def send(self, worker_id: int, task: dict) -> None:
+        self.queues[worker_id].append(task)
+        self.placements.append((worker_id, task["job_id"]))
+
+    def drain(self, timeout: float = 0.0) -> List[tuple]:
+        messages = []
+        for worker_id, queue in sorted(self.queues.items()):
+            if not queue:
+                continue
+            if worker_id in self.slow and not self.waited.get(worker_id):
+                self.waited[worker_id] = True
+                continue
+            self.waited[worker_id] = False
+            task = queue.pop(0)
+            job_id = task["job_id"]
+            table = self.tables[worker_id]
+            resident = job_id in table and self.ran_on.get(job_id) == worker_id
+            if job_id in table:
+                table.remove(job_id)
+            del table[: max(0, len(table) - (RESIDENT_CAMPAIGNS - 1))]
+            outcome = self._run(task)
+            self.ran_on[job_id] = worker_id
+            if not outcome.done:
+                table.append(job_id)
+            outcome.resumed_resident = resident
+            outcome.resident_jobs = tuple(table)
+            messages.append(("ok", worker_id, job_id, outcome))
+        return messages
+
+
+class PickRecorder(CampaignScheduler):
+    """Records, at every dispatch, whether the job sent was the
+    fair-share winner: least virtual time, then (for gang members) fewest
+    executions, then submission order, among the runnable jobs."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.winners: List[str] = []
+
+    def _runnable(self):
+        runnable = super()._runnable()
+        if runnable:
+            winner = min(
+                runnable,
+                key=lambda r: (
+                    self._virtual_time(r),
+                    r.executions if r.spec.shard_group is not None else 0,
+                    r.seq,
+                ),
+            )
+            self.winners.append(winner.job_id)
+        return runnable
+
+    def _send(self, worker_id, record):
+        assert record.job_id == self.winners[-1]
+        super()._send(worker_id, record)
+
+
+def _resident_fleet(root, slow, placement=True, jobs=4, slices=4):
+    store = JobStore(root / "fleet.jsonl")
+    sims = {}
+    for seed in range(jobs):
+        sims[seed] = JobSim(profile=_productive(1))
+        store.submit(
+            JobSpec(
+                subject="expr",
+                budget=slices * SLICE,
+                seed=seed,
+                checkpoint_every=SLICE,
+            )
+        )
+    scheduler = PickRecorder(
+        store,
+        root / "fleet",
+        SchedulerConfig(workers=2, slice_executions=SLICE, backoff=0.0),
+    )
+    scheduler.pool = ResidentFakePool(sims, slow=slow)
+    if not placement:
+        scheduler._holder = lambda record, idle_worker: None
+    scheduler.run_until_idle()
+    for record in store.list():
+        assert record.state is JobState.DONE
+        assert record.executions == slices * SLICE
+    return store, scheduler
+
+
+def test_residency_places_slices_but_never_reorders_them(tmp_path):
+    """Every slice is the fair-share winner when it is dispatched, with
+    or without placement by residency; placement only moves slices to
+    the worker holding their campaign, which turns cold resumes into
+    resident ones when workers finish out of step."""
+    store, placed = _resident_fleet(tmp_path / "placed", slow={1})
+    _, plain = _resident_fleet(tmp_path / "plain", slow={1}, placement=False)
+    resumes = sum(record.slices - 1 for record in store.list())
+    assert resumes == 12
+    assert plain.resident_resumes < placed.resident_resumes <= resumes
+    # Queued placements happened: the slow worker got slices sent while
+    # it was still busy.
+    queued = [
+        job_id
+        for worker_id, job_id in placed.pool.placements
+        if worker_id == 1
+    ]
+    assert len(queued) > len(
+        [job for worker, job in plain.pool.placements if worker == 1]
+    )
+
+
+def test_in_step_workers_keep_their_order_and_their_campaigns(tmp_path):
+    """Workers finishing together never queue: the log is the plain
+    round robin, and each worker keeps its own two jobs."""
+    _, scheduler = _resident_fleet(tmp_path, slow=())
+    jobs = [f"job-{index:04d}" for index in range(4)]
+    assert scheduler.dispatch_log == jobs * 4
+    assert scheduler.resident_resumes == 12
+    assert scheduler.pool.placements[:4] == list(zip([0, 1, 0, 1], jobs))
+
+
+def _idle_and_busy(tmp_path, group=None):
+    """Three runnable jobs at equal virtual time; worker 1 busy with a
+    fourth and holding job-0000's campaign, worker 0 idle holding
+    job-0001's."""
+    store = JobStore(tmp_path / "journal.jsonl")
+    for seed in range(4):
+        store.submit(
+            JobSpec(
+                subject="expr",
+                budget=4 * SLICE,
+                seed=seed,
+                checkpoint_every=SLICE,
+                **({"shard_group": group, "shard_id": seed, "shards": 4}
+                   if group else {}),
+            )
+        )
+    scheduler = CampaignScheduler(
+        store, tmp_path, SchedulerConfig(workers=2, slice_executions=SLICE)
+    )
+    scheduler.pool = ResidentFakePool(
+        {seed: JobSim(profile=_productive(1)) for seed in range(4)}
+    )
+    scheduler.pool.spawn()
+    scheduler.pool.spawn()
+    store.transition("job-0003", JobState.RUNNING)
+    scheduler.assignments[1] = ("job-0003", None)
+    scheduler.pool.queues[1].append(
+        dict(store.get("job-0003").spec.to_dict(), job_id="job-0003",
+             slice_executions=SLICE)
+    )
+    scheduler._held = {0: ("job-0001",), 1: ("job-0000",)}
+    return store, scheduler
+
+
+def test_the_winner_is_queued_behind_the_busy_worker_holding_it(tmp_path):
+    store, scheduler = _idle_and_busy(tmp_path)
+    scheduler._dispatch_ready()
+    assert scheduler.dispatch_log == ["job-0000", "job-0001"]
+    assert scheduler.pool.placements == [(1, "job-0000"), (0, "job-0001")]
+    assert scheduler._queued == {1: "job-0000"}
+    assert scheduler.assignments[0][0] == "job-0001"
+    # Queued, not running, until its worker is done with the slice ahead.
+    assert store.get("job-0000").state is JobState.QUEUED
+    done = scheduler.pool.drain()
+    for message in done:
+        scheduler._handle_message(message)
+    assert scheduler.assignments[1][0] == "job-0000"
+    assert store.get("job-0000").state is JobState.RUNNING
+    assert scheduler._queued == {}
+
+
+def test_gang_members_are_never_queued(tmp_path):
+    _, scheduler = _idle_and_busy(tmp_path, group="grp-1")
+    scheduler._dispatch_ready()
+    assert scheduler.pool.placements == [(0, "job-0000")]
+    assert scheduler._queued == {}
+
+
+def test_an_idle_worker_is_never_left_without_the_last_runnable_job(tmp_path):
+    store, scheduler = _idle_and_busy(tmp_path)
+    for job_id in ("job-0001", "job-0002"):
+        store.transition(job_id, JobState.CANCELLED)
+    scheduler._dispatch_ready()
+    assert scheduler.pool.placements == [(0, "job-0000")]
+
+
+def test_a_campaign_the_busy_worker_will_evict_is_not_queued_there(tmp_path):
+    """Worker 1's current slice is of a job it does not hold, so its
+    table drops its least recently run campaign to make room."""
+    _, scheduler = _idle_and_busy(tmp_path)
+    scheduler._held[1] = ("job-0000", "job-0002")
+    scheduler._dispatch_ready()
+    assert scheduler.pool.placements[0] == (0, "job-0000")

@@ -234,6 +234,49 @@ def test_cancelled_queued_job_never_runs_but_neighbours_do(tmp_path):
     assert store.get(survivor.job_id).state is JobState.DONE
 
 
+def test_baseline_plugin_job_runs_on_a_worker_forked_before_its_import(
+    tmp_path, monkeypatch
+):
+    """Every worker of a long-running service was forked before a plugin
+    job arrived, so the worker must import the job's subject module
+    itself — for baseline tools as for pFuzzer."""
+    import sys
+    from pathlib import Path
+
+    import repro.subjects.registry as registry
+
+    helpers = str(Path(__file__).resolve().parent.parent / "helpers")
+    monkeypatch.syspath_prepend(helpers)
+    monkeypatch.setattr(
+        registry,
+        "_PLUGIN_FACTORIES",
+        {
+            name: factory
+            for name, factory in registry._PLUGIN_FACTORIES.items()
+            if name != "radix"
+        },
+    )
+    monkeypatch.delitem(sys.modules, "radix_plugin", raising=False)
+    store = JobStore(tmp_path / "journal.jsonl")
+    scheduler = CampaignScheduler(
+        store, tmp_path, SchedulerConfig(workers=1, retries=0)
+    )
+    scheduler.pool.spawn()  # forked while "radix" is unknown
+    record = store.submit(
+        JobSpec(
+            tool="random",
+            subject="radix",
+            budget=60,
+            seed=1,
+            subject_module="radix_plugin",
+        )
+    )
+    scheduler.run_until_idle()
+    final = store.get(record.job_id)
+    assert final.state is JobState.DONE, final.error
+    assert final.executions == 60
+
+
 def test_baseline_tools_run_whole_budget_in_one_slice(tmp_path):
     specs = [JobSpec(subject="ini", tool="random", budget=80, seed=1)]
     store, (record,), scheduler = _scheduler(

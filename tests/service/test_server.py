@@ -141,6 +141,30 @@ def test_metrics_exposition_covers_the_documented_series(service):
     assert client.job(record["job_id"])["state"] == "done"
 
 
+def test_metrics_export_resident_resumes_next_to_all_resumes(tmp_path):
+    """One worker holds its only job between slices, so every resume
+    continues the campaign from memory and both counters agree."""
+    svc = CampaignService(
+        tmp_path / "state", SchedulerConfig(workers=1, slice_executions=60)
+    )
+    (record,) = svc.submit(
+        {"subject": "expr", "budget": 240, "seed": 3, "checkpoint_every": 60}
+    )
+    svc.run(until_idle=True)
+    text = svc.metrics_text()
+    assert "# TYPE repro_service_resident_resumes_total counter" in text
+    values = dict(
+        line.rsplit(" ", 1)
+        for line in text.splitlines()
+        if line.startswith("repro_service_resume")
+        or line.startswith("repro_service_resident")
+    )
+    resumes = svc.store.get(record.job_id).resumes
+    assert resumes >= 2
+    assert float(values["repro_service_resumes_total"]) == resumes
+    assert float(values["repro_service_resident_resumes_total"]) == resumes
+
+
 def test_queue_depth_counts_queued_and_paused(service):
     svc, client = service
     client.submit({"subject": "expr", "budget": 100})
